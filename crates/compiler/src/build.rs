@@ -128,6 +128,69 @@ pub struct FoldRecord {
     pub result: ScalarValue,
 }
 
+/// One piece of outside state a [`BlockBuilder`] read. A block's build is
+/// a pure function of its statements, `enable_rewrites` and these facts,
+/// which makes the list an exact memo key (see [`crate::frontend`]).
+#[derive(Debug, Clone)]
+pub enum BuildFact {
+    /// Entry-environment entry of a variable read before any assignment
+    /// in the block (`None`: unbound).
+    Var(String, Option<VarInfo>),
+    /// A `$`-parameter binding.
+    Param(String, Option<ScalarValue>),
+    /// Metadata of a persistent input read by `read()`.
+    Input(String, Option<MatrixCharacteristics>),
+    /// The configured `table()` output column count.
+    TableCols(Option<u64>),
+}
+
+impl BuildFact {
+    /// Bitwise equality: f64 constants compare by bit pattern, so `0.0`
+    /// and `-0.0` differ and a NaN equals only the same NaN.
+    pub fn same(&self, other: &BuildFact) -> bool {
+        match (self, other) {
+            (BuildFact::Var(a, x), BuildFact::Var(b, y)) => {
+                a == b && same_opt(x.as_ref(), y.as_ref(), same_var)
+            }
+            (BuildFact::Param(a, x), BuildFact::Param(b, y)) => {
+                a == b && same_opt(x.as_ref(), y.as_ref(), same_scalar)
+            }
+            (BuildFact::Input(a, x), BuildFact::Input(b, y)) => a == b && x == y,
+            (BuildFact::TableCols(x), BuildFact::TableCols(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    /// Whether the fact still holds for `config` and `env`, bitwise.
+    pub fn holds(&self, config: &CompileConfig, env: &Env) -> bool {
+        match self {
+            BuildFact::Var(name, v) => same_opt(v.as_ref(), env.get(name), same_var),
+            BuildFact::Param(name, v) => same_opt(v.as_ref(), config.params.get(name), same_scalar),
+            BuildFact::Input(path, mc) => *mc == config.inputs.get(path).copied(),
+            BuildFact::TableCols(k) => *k == config.table_cols_hint,
+        }
+    }
+}
+
+fn same_opt<T>(a: Option<&T>, b: Option<&T>, same: fn(&T, &T) -> bool) -> bool {
+    match (a, b) {
+        (Some(x), Some(y)) => same(x, y),
+        (None, None) => true,
+        _ => false,
+    }
+}
+
+fn same_scalar(a: &ScalarValue, b: &ScalarValue) -> bool {
+    match (a, b) {
+        (ScalarValue::Num(x), ScalarValue::Num(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+fn same_var(a: &VarInfo, b: &VarInfo) -> bool {
+    a.vtype == b.vtype && a.mc == b.mc && same_opt(a.konst.as_ref(), b.konst.as_ref(), same_scalar)
+}
+
 /// The product of compiling one generic block's statements.
 #[derive(Debug)]
 pub struct BuiltDag {
@@ -139,6 +202,13 @@ pub struct BuiltDag {
     pub constants_folded: u64,
     /// Audit log of every constant fold, in occurrence order.
     pub fold_log: Vec<FoldRecord>,
+    /// Outside state the build read, without duplicates, in first-read
+    /// order.
+    pub facts: Vec<BuildFact>,
+    /// Final environment entry of every variable the block assigned, in
+    /// first-assignment order (empty for predicates). Inserting these
+    /// into the entry environment reproduces the build's effect on it.
+    pub writes: Vec<(String, VarInfo)>,
 }
 
 /// Builds a [`HopDag`] for a run of straight-line statements.
@@ -151,6 +221,7 @@ pub struct BlockBuilder<'a> {
     consts: HashMap<HopId, ScalarValue>,
     constants_folded: u64,
     fold_log: Vec<FoldRecord>,
+    facts: Vec<BuildFact>,
 }
 
 impl<'a> BlockBuilder<'a> {
@@ -163,7 +234,22 @@ impl<'a> BlockBuilder<'a> {
             consts: HashMap::new(),
             constants_folded: 0,
             fold_log: Vec::new(),
+            facts: Vec::new(),
         }
+    }
+
+    /// Record one read of outside state (see [`BuildFact`]).
+    fn note(&mut self, fact: BuildFact) {
+        if !self.facts.iter().any(|f| f.same(&fact)) {
+            self.facts.push(fact);
+        }
+    }
+
+    /// Look up a `$`-parameter, recording the read.
+    fn param(&mut self, name: &str) -> Option<ScalarValue> {
+        let v = self.config.params.get(name).cloned();
+        self.note(BuildFact::Param(name.to_string(), v.clone()));
+        v
     }
 
     /// Record one constant fold for the audit log.
@@ -245,11 +331,20 @@ impl<'a> BlockBuilder<'a> {
             self.dag
                 .add(HopOp::TWrite(name.clone()), vec![id], vtype, mc);
         }
+        let writes = assigned
+            .into_iter()
+            .map(|name| {
+                let info = env[&name].clone();
+                (name, info)
+            })
+            .collect();
         Ok(BuiltDag {
             dag: self.dag,
             consts: self.consts,
             constants_folded: self.constants_folded,
             fold_log: self.fold_log,
+            facts: self.facts,
+            writes,
         })
     }
 
@@ -269,6 +364,8 @@ impl<'a> BlockBuilder<'a> {
                 consts: self.consts,
                 constants_folded: self.constants_folded,
                 fold_log: self.fold_log,
+                facts: self.facts,
+                writes: Vec::new(),
             },
             root,
             konst,
@@ -291,6 +388,7 @@ impl<'a> BlockBuilder<'a> {
         if let Some(&id) = self.bindings.get(name) {
             return Ok(id);
         }
+        self.note(BuildFact::Var(name.to_string(), env.get(name).cloned()));
         let info = env.get(name).ok_or_else(|| {
             CompileError::Internal(format!("unbound variable '{name}' (validator miss)"))
         })?;
@@ -332,7 +430,7 @@ impl<'a> BlockBuilder<'a> {
             Expr::Str(s) => Ok(self.literal(ScalarValue::Str(s.clone()))),
             Expr::Bool(b) => Ok(self.literal(ScalarValue::Bool(*b))),
             Expr::Param(name) => {
-                let v = self.config.params.get(name).cloned().ok_or_else(|| {
+                let v = self.param(name).ok_or_else(|| {
                     CompileError::Unsupported(format!("unbound parameter '${name}'"))
                 })?;
                 Ok(self.literal(v))
@@ -401,8 +499,8 @@ impl<'a> BlockBuilder<'a> {
     fn resolve_string(&mut self, expr: &Expr, _env: &Env) -> Result<String, CompileError> {
         match expr {
             Expr::Str(s) => Ok(s.clone()),
-            Expr::Param(name) => match self.config.params.get(name) {
-                Some(ScalarValue::Str(s)) => Ok(s.clone()),
+            Expr::Param(name) => match self.param(name) {
+                Some(ScalarValue::Str(s)) => Ok(s),
                 Some(other) => Ok(other.render()),
                 None => Err(CompileError::Unsupported(format!(
                     "unbound parameter '${name}'"
@@ -521,12 +619,9 @@ impl<'a> BlockBuilder<'a> {
         match name {
             "read" => {
                 let path = self.resolve_string(&args[0], env)?;
-                let mc = self
-                    .config
-                    .inputs
-                    .get(&path)
-                    .copied()
-                    .ok_or_else(|| CompileError::MissingInputMetadata(path.clone()))?;
+                let mc = self.config.inputs.get(&path).copied();
+                self.note(BuildFact::Input(path.clone(), mc));
+                let mc = mc.ok_or_else(|| CompileError::MissingInputMetadata(path.clone()))?;
                 Ok(self.dag.add(HopOp::PRead(path), vec![], VType::Matrix, mc))
             }
             "matrix" => {
@@ -626,6 +721,7 @@ impl<'a> BlockBuilder<'a> {
                 }
                 let y = self.build_expr(&args[1], env)?;
                 let ymc = self.dag.hop(y).mc;
+                self.note(BuildFact::TableCols(self.config.table_cols_hint));
                 // Output: n x k where k = max(y) is data dependent —
                 // unknown unless runtime knowledge was injected.
                 let mc = MatrixCharacteristics {

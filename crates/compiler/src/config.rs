@@ -132,7 +132,8 @@ impl CompileConfig {
 pub struct CompileStats {
     /// Generic-block compilations performed (the paper's "# Comp.").
     pub block_compilations: u64,
-    /// HOP DAGs constructed.
+    /// Block HOP DAGs this compilation lowered, whether built afresh or
+    /// served by the front-end memo.
     pub dags_built: u64,
     /// Common subexpressions eliminated.
     pub cse_eliminated: u64,

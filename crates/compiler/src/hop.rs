@@ -237,6 +237,13 @@ impl HopDag {
         }
     }
 
+    /// Free the construction-time CSE index. Later `add` calls still
+    /// append correctly but no longer merge with nodes added before the
+    /// call; memoized front ends drop it once rewrites are done.
+    pub fn drop_cse_index(&mut self) {
+        self.cse = HashMap::new();
+    }
+
     /// Immutable node access.
     pub fn hop(&self, id: HopId) -> &Hop {
         &self.hops[id.0]

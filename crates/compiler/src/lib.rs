@@ -25,12 +25,15 @@
 //!
 //! The whole chain is *memory-budget parameterized* — the resource
 //! optimizer re-invokes it with different CP/MR heap assignments and costs
-//! the generated plans (online what-if analysis, §2.4).
+//! the generated plans (online what-if analysis, §2.4). Only steps 4–5
+//! read the budget: [`frontend`] memoizes steps 1–3 per block, so each
+//! what-if compilation re-lowers instead of rebuilding.
 
 #![forbid(unsafe_code)]
 
 pub mod build;
 pub mod config;
+pub mod frontend;
 pub mod hop;
 pub mod inline;
 pub mod lower;

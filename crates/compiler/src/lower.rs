@@ -34,42 +34,18 @@ pub enum ExecType {
     Mr,
 }
 
-/// The lowered form of one DAG.
-#[derive(Debug, Clone)]
-pub struct LoweredDag {
-    /// Instructions in execution order (CP interleaved with MR jobs).
-    pub instructions: Vec<Instruction>,
-    /// Whether unknown sizes force dynamic recompilation of this block.
-    pub requires_recompile: bool,
-    /// Finite operator memory estimates, MB (input to the memory-based
-    /// grid generator).
-    pub mem_estimates_mb: Vec<f64>,
-    /// Memory thresholds (MB) at which any lowering decision of this DAG
-    /// can flip: operator memory estimates (the CP/MR execution choice),
-    /// matrix sizes (fusion and broadcast-side selection), and sums of
-    /// broadcast candidates (piggybacking's job-packing constraint). Two
-    /// memory budgets with no threshold between them produce an identical
-    /// plan — the what-if session's cache keys on this property.
-    pub decision_estimates_mb: Vec<f64>,
-}
-
-impl LoweredDag {
-    /// Number of MR jobs.
-    pub fn mr_jobs(&self) -> usize {
-        self.instructions.iter().filter(|i| i.is_mr()).count()
-    }
-}
-
-/// Lower a DAG (sizes propagated, memory estimated) into instructions.
-///
-/// `extra_roots` keeps predicate roots alive and binds them to result
-/// variables (an `Assign` is appended for each).
-pub fn lower_dag(
+/// Lower a DAG (sizes propagated, memory estimated) into instructions:
+/// the budget-dependent half of block compilation. `live` is the DAG's
+/// live set for the same roots ([`HopDag::live_hops`]); `extra_roots`
+/// keeps predicate roots alive and binds them to result variables (an
+/// `Assign` is appended for each).
+pub fn lower_live(
     dag: &HopDag,
+    live: &[HopId],
     cp_budget_mb: f64,
     mr_budget_mb: f64,
     extra_roots: &[(HopId, String)],
-) -> Result<LoweredDag, CompileError> {
+) -> Result<Vec<Instruction>, CompileError> {
     Lowering {
         dag,
         cp_budget_mb,
@@ -78,7 +54,115 @@ pub fn lower_dag(
         // single-use compiler temporaries by this prefix.
         temp_prefix: TEMP_PREFIX,
     }
-    .run(extra_roots)
+    .run(live, extra_roots)
+}
+
+/// Whether unknown sizes force dynamic recompilation: some live matrix
+/// operator has unknown dimensions.
+pub fn requires_recompile(dag: &HopDag, live: &[HopId]) -> bool {
+    live.iter().any(|&id| {
+        let hop = dag.hop(id);
+        hop.op.is_matrix_op() && !hop.mc.dims_known()
+    })
+}
+
+/// Finite, positive memory estimates of the live matrix operators, MB.
+pub fn mem_estimates_mb(dag: &HopDag, live: &[HopId]) -> Vec<f64> {
+    live.iter()
+        .map(|&id| dag.hop(id))
+        .filter(|hop| hop.mem_mb.is_finite() && hop.mem_mb > 0.0 && hop.op.is_matrix_op())
+        .map(|hop| hop.mem_mb)
+        .collect()
+}
+
+/// All memory values (MB, unsorted) the lowering of this DAG compares
+/// against a budget, independent of any particular budget. Two memory
+/// budgets with no threshold between them produce an identical plan —
+/// the what-if session's cache keys on this property. The values are:
+///
+/// * operator memory estimates ([`Lowering::decide_exec`], the CP/MR
+///   execution choice);
+/// * sizes of live matrices (transpose fusion and the `small()`
+///   broadcast-side checks of [`Lowering::plan_mr`]);
+/// * sums over broadcast candidates (the cumulative broadcast-memory
+///   constraint of [`pack_jobs`]). Each MR operator broadcasts at most
+///   one of its matrix inputs, so candidate sums range over subsets of
+///   the distinct matrix inputs of MR-capable operators; for large
+///   candidate counts this falls back to contiguous-run sums, which
+///   covers the packer's consecutive-pending-run accumulation.
+pub fn decision_thresholds_mb(dag: &HopDag, live: &[HopId]) -> Vec<f64> {
+    let mut out = mem_estimates_mb(dag, live);
+    let mut candidates: Vec<f64> = Vec::new();
+    let mut seen_inputs: HashSet<HopId> = HashSet::new();
+    for &id in live {
+        let hop = dag.hop(id);
+        if hop.vtype == VType::Matrix {
+            let s = size_mb(&hop.mc);
+            if s.is_finite() && s > 0.0 {
+                out.push(s);
+            }
+        }
+        if is_mr_capable(&hop.op) {
+            for &input in &hop.inputs {
+                if dag.hop(input).vtype == VType::Matrix && seen_inputs.insert(input) {
+                    // Broadcast sizes are capped like `broadcasts_full`.
+                    let s = size_mb(&dag.hop(input).mc).min(1e9);
+                    if s.is_finite() && s > 0.0 {
+                        candidates.push(s);
+                    }
+                }
+            }
+        }
+    }
+    if candidates.len() <= 12 {
+        // All subset sums of two or more candidates (singletons are
+        // already covered by the size thresholds above).
+        for mask in 1u32..(1u32 << candidates.len()) {
+            if mask.count_ones() < 2 {
+                continue;
+            }
+            let sum: f64 = candidates
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << *i) != 0)
+                .map(|(_, s)| *s)
+                .sum();
+            out.push(sum);
+        }
+    } else {
+        for i in 0..candidates.len() {
+            let mut sum = candidates[i];
+            for c in &candidates[i + 1..] {
+                sum += c;
+                out.push(sum);
+            }
+        }
+    }
+    out
+}
+
+/// Operators that may run as MR jobs (all others always run in CP).
+fn is_mr_capable(op: &HopOp) -> bool {
+    matches!(
+        op,
+        HopOp::MatMult
+            | HopOp::MmChain
+            | HopOp::BinaryMM(_)
+            | HopOp::BinaryMS(_)
+            | HopOp::BinarySM(_)
+            | HopOp::UnaryM(_)
+            | HopOp::Agg(_)
+            | HopOp::Transpose
+            | HopOp::TableSeq
+            | HopOp::RightIndex
+            | HopOp::LeftIndex
+            | HopOp::Append
+            | HopOp::RBind
+            | HopOp::Diag
+            | HopOp::DataGenConst
+            | HopOp::DataGenSeq
+            | HopOp::DataGenRand
+    ) && op.is_matrix_op()
 }
 
 struct Lowering<'a> {
@@ -89,13 +173,14 @@ struct Lowering<'a> {
 }
 
 impl<'a> Lowering<'a> {
-    fn run(&self, extra_roots: &[(HopId, String)]) -> Result<LoweredDag, CompileError> {
-        let root_ids: Vec<HopId> = extra_roots.iter().map(|(id, _)| *id).collect();
-        let live = self.dag.live_hops(&root_ids);
-
+    fn run(
+        &self,
+        live: &[HopId],
+        extra_roots: &[(HopId, String)],
+    ) -> Result<Vec<Instruction>, CompileError> {
         // Consumer map over live hops.
         let mut consumers: HashMap<HopId, Vec<HopId>> = HashMap::new();
-        for &id in &live {
+        for &id in live {
             for &input in &self.dag.hop(id).inputs {
                 consumers.entry(input).or_default().push(id);
             }
@@ -104,23 +189,13 @@ impl<'a> Lowering<'a> {
         // Phase 1: execution decisions + fusion set.
         let mut exec: HashMap<HopId, ExecType> = HashMap::new();
         let mut fused: HashSet<HopId> = HashSet::new();
-        let mut requires_recompile = false;
-        let mut mem_estimates = Vec::new();
-        for &id in &live {
-            let hop = self.dag.hop(id);
-            if hop.mem_mb.is_finite() && hop.mem_mb > 0.0 && hop.op.is_matrix_op() {
-                mem_estimates.push(hop.mem_mb);
-            }
-            let e = self.decide_exec(id);
-            if self.is_unknown_matrix_op(id) {
-                requires_recompile = true;
-            }
-            exec.insert(id, e);
+        for &id in live {
+            exec.insert(id, self.decide_exec(id));
         }
         // Fusion: a Transpose feeding exactly one MatMult that the
         // physical operator absorbs (TSMM / transpose-fused MapMM) is not
         // materialized.
-        for &id in &live {
+        for &id in live {
             let hop = self.dag.hop(id);
             if !matches!(hop.op, HopOp::MatMult) {
                 continue;
@@ -144,7 +219,7 @@ impl<'a> Lowering<'a> {
         // Hops consumed by CP instructions or block outputs: used by the
         // packer to decide job outputs.
         let mut external: HashSet<HopId> = HashSet::new();
-        for &id in &live {
+        for &id in live {
             let hop = self.dag.hop(id);
             for &input in &hop.inputs {
                 if exec.get(&id) == Some(&ExecType::Cp) || !hop.op.is_matrix_op() {
@@ -273,80 +348,7 @@ impl<'a> Lowering<'a> {
             }));
         }
 
-        Ok(LoweredDag {
-            instructions: out,
-            requires_recompile,
-            decision_estimates_mb: self.decision_estimates(&live, &mem_estimates),
-            mem_estimates_mb: mem_estimates,
-        })
-    }
-
-    /// All memory values the lowering of this DAG compares against a
-    /// budget, independent of any particular budget:
-    ///
-    /// * operator memory estimates ([`Lowering::decide_exec`]);
-    /// * sizes of live matrices (transpose fusion and the `small()`
-    ///   broadcast-side checks of [`Lowering::plan_mr`]);
-    /// * sums over broadcast candidates (the cumulative broadcast-memory
-    ///   constraint of [`pack_jobs`]). Each MR operator broadcasts at most
-    ///   one of its matrix inputs, so candidate sums range over subsets of
-    ///   the distinct matrix inputs of MR-capable operators; for large
-    ///   candidate counts this falls back to contiguous-run sums, which
-    ///   covers the packer's consecutive-pending-run accumulation.
-    fn decision_estimates(&self, live: &[HopId], mem_estimates: &[f64]) -> Vec<f64> {
-        let mut out: Vec<f64> = mem_estimates.to_vec();
-        let mut candidates: Vec<f64> = Vec::new();
-        let mut seen_inputs: HashSet<HopId> = HashSet::new();
-        for &id in live {
-            let hop = self.dag.hop(id);
-            if hop.vtype == VType::Matrix {
-                let s = size_mb(&hop.mc);
-                if s.is_finite() && s > 0.0 {
-                    out.push(s);
-                }
-            }
-            if hop.op.is_matrix_op() && self.is_mr_capable(&hop.op) {
-                for &input in &hop.inputs {
-                    if self.dag.hop(input).vtype == VType::Matrix && seen_inputs.insert(input) {
-                        // Broadcast sizes are capped like `broadcasts_full`.
-                        let s = size_mb(&self.dag.hop(input).mc).min(1e9);
-                        if s.is_finite() && s > 0.0 {
-                            candidates.push(s);
-                        }
-                    }
-                }
-            }
-        }
-        if candidates.len() <= 12 {
-            // All subset sums of two or more candidates (singletons are
-            // already covered by the size thresholds above).
-            for mask in 1u32..(1u32 << candidates.len()) {
-                if mask.count_ones() < 2 {
-                    continue;
-                }
-                let sum: f64 = candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << *i) != 0)
-                    .map(|(_, s)| *s)
-                    .sum();
-                out.push(sum);
-            }
-        } else {
-            for i in 0..candidates.len() {
-                let mut sum = candidates[i];
-                for c in &candidates[i + 1..] {
-                    sum += c;
-                    out.push(sum);
-                }
-            }
-        }
-        out
-    }
-
-    fn is_unknown_matrix_op(&self, id: HopId) -> bool {
-        let hop = self.dag.hop(id);
-        hop.op.is_matrix_op() && !hop.mc.dims_known()
+        Ok(out)
     }
 
     /// The CP/MR selection heuristic (§2.1): CP iff the operation memory
@@ -354,7 +356,7 @@ impl<'a> Lowering<'a> {
     /// regardless; pure-scalar operators are always CP.
     fn decide_exec(&self, id: HopId) -> ExecType {
         let hop = self.dag.hop(id);
-        if !self.is_mr_capable(&hop.op) {
+        if !is_mr_capable(&hop.op) {
             return ExecType::Cp;
         }
         if hop.mem_mb <= self.cp_budget_mb {
@@ -362,29 +364,6 @@ impl<'a> Lowering<'a> {
         } else {
             ExecType::Mr
         }
-    }
-
-    fn is_mr_capable(&self, op: &HopOp) -> bool {
-        matches!(
-            op,
-            HopOp::MatMult
-                | HopOp::MmChain
-                | HopOp::BinaryMM(_)
-                | HopOp::BinaryMS(_)
-                | HopOp::BinarySM(_)
-                | HopOp::UnaryM(_)
-                | HopOp::Agg(_)
-                | HopOp::Transpose
-                | HopOp::TableSeq
-                | HopOp::RightIndex
-                | HopOp::LeftIndex
-                | HopOp::Append
-                | HopOp::RBind
-                | HopOp::Diag
-                | HopOp::DataGenConst
-                | HopOp::DataGenSeq
-                | HopOp::DataGenRand
-        ) && matches!(op, o if o.is_matrix_op())
     }
 
     /// Whether the chosen physical operator for a `MatMult(Transpose(X), B)`
@@ -694,13 +673,25 @@ mod tests {
     use super::*;
     use crate::build::{BlockBuilder, Env};
     use crate::config::CompileConfig;
+    use crate::frontend::FrontEnd;
     use crate::memest::estimate_dag;
-    use crate::rewrites::apply_rewrites;
     use reml_cluster::ClusterConfig;
     use reml_lang::parser::parse;
 
+    /// A block's front end and its instructions under one budget.
+    struct Lowered {
+        fe: FrontEnd,
+        instructions: Vec<Instruction>,
+    }
+
+    impl Lowered {
+        fn mr_jobs(&self) -> usize {
+            self.instructions.iter().filter(|i| i.is_mr()).count()
+        }
+    }
+
     /// Compile statements into a lowered DAG with the given heaps (MB).
-    fn lower_src(src: &str, cp_heap: u64, mr_heap: u64) -> LoweredDag {
+    fn lower_src(src: &str, cp_heap: u64, mr_heap: u64) -> Lowered {
         let cfg = CompileConfig::new(ClusterConfig::paper_cluster(), cp_heap, mr_heap)
             .with_param("X", ScalarValue::Str("hdfs:X".into()))
             .with_param("Y", ScalarValue::Str("hdfs:Y".into()))
@@ -709,21 +700,23 @@ mod tests {
             // 10^7 x 1: 80 MB.
             .with_input("hdfs:Y", MatrixCharacteristics::dense(10_000_000, 1));
         let program = parse(src).unwrap();
-        let mut env = Env::new();
-        let built = BlockBuilder::new(&cfg)
-            .build_statements(&program.statements, &mut env)
-            .unwrap();
-        let mut dag = built.dag;
-        apply_rewrites(&mut dag);
-        estimate_dag(&mut dag);
-        lower_dag(&dag, cfg.cp_budget_mb(), cfg.mr_budget_mb(0), &[]).unwrap()
+        let fe = FrontEnd::build(&cfg, &program.statements, &mut Env::new()).unwrap();
+        let instructions = lower_live(
+            &fe.dag,
+            &fe.live,
+            cfg.cp_budget_mb(),
+            cfg.mr_budget_mb(0),
+            &[],
+        )
+        .unwrap();
+        Lowered { fe, instructions }
     }
 
     #[test]
     fn small_memory_forces_mr() {
         let l = lower_src("X = read($X)\nY = read($Y)\ng = t(X) %*% Y", 512, 512);
         assert!(l.mr_jobs() >= 1, "expected MR jobs:\n{:?}", l.instructions);
-        assert!(!l.requires_recompile);
+        assert!(!l.fe.requires_recompile);
     }
 
     #[test]
@@ -823,7 +816,7 @@ mod tests {
             512,
             512,
         );
-        assert!(l.requires_recompile);
+        assert!(l.fe.requires_recompile);
     }
 
     #[test]
@@ -856,8 +849,10 @@ mod tests {
         let built = builder.build_statements(&[], &mut env).unwrap();
         let mut dag = built.dag;
         estimate_dag(&mut dag);
-        let l = lower_dag(&dag, 358.0, 358.0, &[(root, "__pred".into())]).unwrap();
-        let last = l.instructions.last().unwrap();
+        let live = dag.live_hops(&[root]);
+        let instructions =
+            lower_live(&dag, &live, 358.0, 358.0, &[(root, "__pred".into())]).unwrap();
+        let last = instructions.last().unwrap();
         match last {
             Instruction::Cp(c) => {
                 assert_eq!(c.opcode, OpCode::Assign);
@@ -870,6 +865,6 @@ mod tests {
     #[test]
     fn mem_estimates_collected() {
         let l = lower_src("X = read($X)\ns = sum(X)", 48 * 1024, 512);
-        assert!(!l.mem_estimates_mb.is_empty());
+        assert!(!l.fe.mem_estimates_mb.is_empty());
     }
 }

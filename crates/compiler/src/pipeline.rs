@@ -5,6 +5,7 @@
 //! loop (§4) use.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use reml_lang::ast::{BinOp, Expr};
 use reml_lang::blocks::{build_blocks, count_all_blocks, StatementBlock, StatementBlockKind};
@@ -16,16 +17,20 @@ use reml_runtime::Instruction;
 
 use crate::build::{merge_env_branches, BlockBuilder, Env, FoldRecord, VarInfo};
 use crate::config::{CompileConfig, CompileError, CompileStats};
+use crate::frontend::{FrontEnd, FrontEndMemo};
 use crate::hop::{CseHit, VType};
 use crate::inline::inline_functions;
-use crate::lower::lower_dag;
+use crate::lower::{decision_thresholds_mb, lower_live};
 use crate::memest::estimate_dag;
-use crate::rewrites::{apply_rewrites_logged, RewriteRecord, RewriteStats};
+use crate::rewrites::RewriteRecord;
 
 /// A parsed, validated, inlined program with its statement-block
 /// hierarchy — the resource-independent front half of compilation. The
 /// resource optimizer compiles one `AnalyzedProgram` many times under
-/// different memory budgets.
+/// different memory budgets; every such compilation shares the
+/// program's memo of block front ends ([`crate::frontend`]), so each
+/// block is built once per input-size context and only re-lowered per
+/// budget. A clone starts with an empty memo.
 #[derive(Debug, Clone)]
 pub struct AnalyzedProgram {
     /// The inlined program.
@@ -34,6 +39,8 @@ pub struct AnalyzedProgram {
     pub blocks: Vec<StatementBlock>,
     /// Source line count (Table 1's `#Lines`).
     pub num_lines: usize,
+    /// Budget-independent block front ends built so far.
+    pub(crate) memo: FrontEndMemo,
 }
 
 impl AnalyzedProgram {
@@ -102,6 +109,7 @@ pub fn analyze_program(source: &str) -> Result<AnalyzedProgram, CompileError> {
         num_lines: inlined.num_lines,
         program: inlined,
         blocks,
+        memo: FrontEndMemo::default(),
     })
 }
 
@@ -120,9 +128,10 @@ pub struct BlockSummary {
     pub all_mr_unknown: bool,
     /// Finite operator memory estimates, MB (memory-based grid fodder).
     pub mem_estimates_mb: Vec<f64>,
-    /// Memory thresholds (MB) at which this block's plan can change —
-    /// see [`crate::lower::LoweredDag::decision_estimates_mb`]. The
-    /// what-if session derives its cache fingerprints from these.
+    /// Memory thresholds (MB, sorted, deduplicated) at which this block's
+    /// plan can change — see [`crate::lower::decision_thresholds_mb`].
+    /// Filled only for a what-if session's probe compilation, which
+    /// derives its cache fingerprints from them; empty otherwise.
     pub decision_estimates_mb: Vec<f64>,
 }
 
@@ -185,7 +194,8 @@ pub struct CompiledProgram {
     /// Decision thresholds of predicate lowerings (if/while/for
     /// conditions), which are not covered by the per-block summaries but
     /// still budget-sensitive; whole-program cache fingerprints must
-    /// include them.
+    /// include them. Filled only for a what-if session's probe
+    /// compilation, like [`BlockSummary::decision_estimates_mb`].
     pub predicate_decision_estimates_mb: Vec<f64>,
     /// Structured self-report of every rewrite, fold, CSE merge, and
     /// branch removal the compiler performed (empty for single-block
@@ -216,26 +226,44 @@ pub fn compile(
     analyzed: &AnalyzedProgram,
     config: &CompileConfig,
 ) -> Result<CompiledProgram, CompileError> {
-    let mut walker = Walker {
-        config,
-        stats: CompileStats::default(),
-        summaries: Vec::new(),
-        entry_envs: BTreeMap::new(),
-        predicate_estimates: Vec::new(),
-        audit: RewriteAudit::default(),
-        record: true,
-    };
-    let mut env = Env::new();
-    let blocks = walker.walk_blocks(&analyzed.blocks, &mut env)?;
-    Ok(CompiledProgram {
-        runtime: RuntimeProgram {
-            blocks,
-            params: config
+    compile_program(analyzed, config, None, Some(&analyzed.memo), false)
+}
+
+/// Whole-program (`scope = None`) or §4.2 scope compilation. `memo` is
+/// the front-end memo to consult (`None`: build every block afresh, the
+/// independent oracle); `thresholds` fills the decision-threshold
+/// fields a what-if session's probe needs.
+pub(crate) fn compile_program(
+    analyzed: &AnalyzedProgram,
+    config: &CompileConfig,
+    scope: Option<(usize, &Env)>,
+    memo: Option<&FrontEndMemo>,
+    thresholds: bool,
+) -> Result<CompiledProgram, CompileError> {
+    let mut walker = Walker::new(config, memo, true);
+    walker.thresholds = thresholds;
+    let (blocks, params, inputs) = match scope {
+        None => {
+            let blocks = walker.walk_blocks(&analyzed.blocks, &mut Env::new())?;
+            let params = config
                 .params
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            inputs: config.inputs.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+                .collect();
+            let inputs = config.inputs.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            (blocks, params, inputs)
+        }
+        Some((start_top_idx, entry_env)) => {
+            let scope = &analyzed.blocks[start_top_idx.min(analyzed.blocks.len())..];
+            let blocks = walker.walk_blocks(scope, &mut entry_env.clone())?;
+            (blocks, Vec::new(), Vec::new())
+        }
+    };
+    Ok(CompiledProgram {
+        runtime: RuntimeProgram {
+            blocks,
+            params,
+            inputs,
         },
         stats: walker.stats,
         summaries: walker.summaries,
@@ -274,30 +302,13 @@ pub fn compile_scope(
     start_top_idx: usize,
     entry_env: &Env,
 ) -> Result<CompiledProgram, CompileError> {
-    let mut walker = Walker {
+    compile_program(
+        analyzed,
         config,
-        stats: CompileStats::default(),
-        summaries: Vec::new(),
-        entry_envs: BTreeMap::new(),
-        predicate_estimates: Vec::new(),
-        audit: RewriteAudit::default(),
-        record: true,
-    };
-    let mut env = entry_env.clone();
-    let scope = &analyzed.blocks[start_top_idx.min(analyzed.blocks.len())..];
-    let blocks = walker.walk_blocks(scope, &mut env)?;
-    Ok(CompiledProgram {
-        runtime: RuntimeProgram {
-            blocks,
-            params: Vec::new(),
-            inputs: Vec::new(),
-        },
-        stats: walker.stats,
-        summaries: walker.summaries,
-        entry_envs: walker.entry_envs,
-        predicate_decision_estimates_mb: walker.predicate_estimates,
-        rewrite_audit: walker.audit,
-    })
+        Some((start_top_idx, entry_env)),
+        Some(&analyzed.memo),
+        false,
+    )
 }
 
 /// Index of the top-level block containing (or equal to) `id`, for scope
@@ -334,6 +345,18 @@ pub fn compile_block_with_env(
     block_id: BlockId,
     env: &mut Env,
 ) -> Result<(Vec<Instruction>, BlockSummary, CompileStats), CompileError> {
+    compile_block_in(analyzed, config, block_id, env, Some(&analyzed.memo))
+}
+
+/// [`compile_block_with_env`] against the given front-end memo (`None`:
+/// build afresh).
+pub(crate) fn compile_block_in(
+    analyzed: &AnalyzedProgram,
+    config: &CompileConfig,
+    block_id: BlockId,
+    env: &mut Env,
+    memo: Option<&FrontEndMemo>,
+) -> Result<(Vec<Instruction>, BlockSummary, CompileStats), CompileError> {
     let block = analyzed
         .find_block(block_id)
         .ok_or_else(|| CompileError::Internal(format!("no block {block_id:?}")))?;
@@ -342,15 +365,7 @@ pub fn compile_block_with_env(
             "block {block_id:?} is not generic"
         )));
     };
-    let mut walker = Walker {
-        config,
-        stats: CompileStats::default(),
-        summaries: Vec::new(),
-        entry_envs: BTreeMap::new(),
-        predicate_estimates: Vec::new(),
-        audit: RewriteAudit::default(),
-        record: false,
-    };
+    let mut walker = Walker::new(config, memo, false);
     let rt = walker.compile_generic(block_id, statements, env)?;
     let RtBlock::Generic { instructions, .. } = rt else {
         unreachable!()
@@ -371,17 +386,7 @@ pub fn propagate_blocks_env(
     blocks: &[StatementBlock],
     env: &mut Env,
 ) -> Result<(), CompileError> {
-    let _ = analyzed;
-    let walker = Walker {
-        config,
-        stats: CompileStats::default(),
-        summaries: Vec::new(),
-        entry_envs: BTreeMap::new(),
-        predicate_estimates: Vec::new(),
-        audit: RewriteAudit::default(),
-        record: false,
-    };
-    walker.propagate_blocks(blocks, env)
+    Walker::new(config, Some(&analyzed.memo), false).propagate_blocks(blocks, env)
 }
 
 /// Fold a predicate expression against an environment (simulator control
@@ -401,6 +406,8 @@ pub fn fold_predicate_with_env(
 
 struct Walker<'a> {
     config: &'a CompileConfig,
+    /// Front-end memo to consult (`None`: build every block afresh).
+    memo: Option<&'a FrontEndMemo>,
     stats: CompileStats,
     summaries: Vec<BlockSummary>,
     entry_envs: BTreeMap<usize, Env>,
@@ -408,9 +415,48 @@ struct Walker<'a> {
     audit: RewriteAudit,
     /// Record entry envs (disabled for single-block recompiles).
     record: bool,
+    /// Collect decision thresholds (a what-if session's probe).
+    thresholds: bool,
 }
 
 impl<'a> Walker<'a> {
+    fn new(config: &'a CompileConfig, memo: Option<&'a FrontEndMemo>, record: bool) -> Self {
+        Walker {
+            config,
+            memo,
+            stats: CompileStats::default(),
+            summaries: Vec::new(),
+            entry_envs: BTreeMap::new(),
+            predicate_estimates: Vec::new(),
+            audit: RewriteAudit::default(),
+            record,
+            thresholds: false,
+        }
+    }
+
+    /// The block's front end for the current config and `env`, from the
+    /// memo when an entry's facts match, else freshly built (and kept).
+    /// Either way `env` advances past the block.
+    fn front_end(
+        &self,
+        id: BlockId,
+        statements: &[reml_lang::ast::Statement],
+        env: &mut Env,
+    ) -> Result<Arc<FrontEnd>, CompileError> {
+        let Some(memo) = self.memo else {
+            return Ok(Arc::new(FrontEnd::build(self.config, statements, env)?));
+        };
+        if let Some(fe) = memo.lookup(id.0, self.config, env) {
+            reml_trace::count("compile.front_end.hits", 1);
+            fe.apply_writes(env);
+            return Ok(fe);
+        }
+        reml_trace::count("compile.front_end.misses", 1);
+        let fe = Arc::new(FrontEnd::build(self.config, statements, env)?);
+        memo.insert(id.0, fe.clone());
+        Ok(fe)
+    }
+
     fn walk_blocks(
         &mut self,
         blocks: &[StatementBlock],
@@ -538,8 +584,7 @@ impl<'a> Walker<'a> {
         for block in blocks {
             match &block.kind {
                 StatementBlockKind::Generic { statements } => {
-                    let builder = BlockBuilder::new(self.config);
-                    builder.build_statements(statements, env)?;
+                    self.front_end(block.id, statements, env)?;
                 }
                 StatementBlockKind::If {
                     then_blocks,
@@ -581,66 +626,49 @@ impl<'a> Walker<'a> {
         env: &mut Env,
     ) -> Result<RtBlock, CompileError> {
         let _block = reml_trace::span!("compile.block", block = id.0);
-        let builder = BlockBuilder::new(self.config);
-        let built = {
-            let _s = reml_trace::span!("compile.hop_build");
-            builder.build_statements(statements, env)?
-        };
-        let mut dag = built.dag;
+        let fe = self.front_end(id, statements, env)?;
         self.stats.dags_built += 1;
-        self.stats.cse_eliminated += dag.cse_hits;
-        self.stats.constants_folded += built.constants_folded;
-        let (rw, records) = if self.config.enable_rewrites {
-            let _s = reml_trace::span!("compile.rewrites");
-            apply_rewrites_logged(&mut dag)
-        } else {
-            (RewriteStats::default(), Vec::new())
-        };
-        self.stats.rewrites_applied += rw.total();
+        self.stats.cse_eliminated += fe.cse_hits;
+        self.stats.constants_folded += fe.constants_folded;
+        self.stats.rewrites_applied += fe.rewrites_applied;
         if self.record {
-            self.audit.blocks.insert(
-                id.0,
-                BlockAudit {
-                    records,
-                    folds: built.fold_log,
-                    cse: dag.cse_log.clone(),
-                },
-            );
+            self.audit.blocks.insert(id.0, fe.audit.clone());
         }
-        {
-            let _s = reml_trace::span!("compile.memest");
-            estimate_dag(&mut dag);
-        }
-        let lowered = {
+        let instructions = {
             let _s = reml_trace::span!("compile.lower");
-            lower_dag(
-                &dag,
+            lower_live(
+                &fe.dag,
+                &fe.live,
                 self.config.cp_budget_mb(),
                 self.config.mr_budget_mb(id.0),
                 &[],
             )?
         };
         self.stats.block_compilations += 1;
-        let (mr_jobs, all_mr_unknown) = mr_job_stats(&lowered.instructions);
+        let (mr_jobs, all_mr_unknown) = mr_job_stats(&instructions);
         reml_trace::event!(
             "compile.block_done",
             block = id.0,
             mr_jobs = mr_jobs,
-            rewrites = rw.total(),
-            recompile = lowered.requires_recompile
+            rewrites = fe.rewrites_applied,
+            recompile = fe.requires_recompile
         );
         self.summaries.push(BlockSummary {
             block_id: id.0,
             mr_jobs,
-            requires_recompile: lowered.requires_recompile,
+            requires_recompile: fe.requires_recompile,
             all_mr_unknown,
-            mem_estimates_mb: lowered.mem_estimates_mb.clone(),
-            decision_estimates_mb: lowered.decision_estimates_mb.clone(),
+            mem_estimates_mb: fe.mem_estimates_mb.clone(),
+            decision_estimates_mb: if self.thresholds {
+                fe.thresholds().to_vec()
+            } else {
+                Vec::new()
+            },
         });
         Ok(RtBlock::Generic {
             source: id,
-            instructions: lowered.instructions,
-            requires_recompile: lowered.requires_recompile,
+            instructions,
+            requires_recompile: fe.requires_recompile,
         })
     }
 
@@ -665,16 +693,21 @@ impl<'a> Walker<'a> {
         let mut dag = built.dag;
         estimate_dag(&mut dag);
         let result_var = format!("__pred{}", block.0);
-        let lowered = lower_dag(
+        let roots = [(root, result_var.clone())];
+        let live = dag.live_hops(&[root]);
+        if self.thresholds {
+            self.predicate_estimates
+                .extend(decision_thresholds_mb(&dag, &live));
+        }
+        let instructions = lower_live(
             &dag,
+            &live,
             self.config.cp_budget_mb(),
             self.config.mr_budget_mb(block.0),
-            &[(root, result_var.clone())],
+            &roots,
         )?;
-        self.predicate_estimates
-            .extend(lowered.decision_estimates_mb);
         Ok(Predicate {
-            instructions: lowered.instructions,
+            instructions,
             result_var,
         })
     }

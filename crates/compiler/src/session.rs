@@ -12,7 +12,7 @@
 //! broadcast-side selection, and piggybacking's job packing — flips only
 //! at a finite set of memory thresholds collected per block during the
 //! probe compilation (see
-//! [`crate::lower::LoweredDag::decision_estimates_mb`]). Two budgets
+//! [`crate::lower::decision_thresholds_mb`]). Two budgets
 //! with no threshold between them therefore produce bit-identical plans,
 //! so a fingerprint is simply the index of the budget's interval in the
 //! sorted threshold list. Grid enumeration over tens of heap sizes
@@ -22,6 +22,12 @@
 //! Sessions are `Sync`: the parallel optimizer shares one session across
 //! its worker threads, so a plan compiled for one grid point is reused
 //! by every other worker whose budgets land in the same intervals.
+//!
+//! A plan-cache miss still reuses each block's budget-independent front
+//! end from the analyzed program's memo ([`crate::frontend`]) and only
+//! re-lowers it. A session opened without caching, and
+//! [`WhatIfSession::compile_plan_uncached`], bypass that memo too: they
+//! are the independent oracles the caches are checked against.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,8 +40,9 @@ use reml_runtime::Instruction;
 
 use crate::build::Env;
 use crate::config::{CompileConfig, CompileError, MrHeapAssignment};
+use crate::frontend::{sort_dedup, FrontEndMemo};
 use crate::pipeline::{
-    compile, compile_scope, compile_single_block, AnalyzedProgram, BlockSummary, CompiledProgram,
+    compile_block_in, compile_program, AnalyzedProgram, BlockSummary, CompiledProgram,
 };
 
 /// Tag bit marking a raw-heap (fingerprint-less) key component, used for
@@ -126,10 +133,14 @@ impl<'a> WhatIfSession<'a> {
         let base = base.clone();
         let scope = scope.map(|(start, env)| (start, env.clone()));
         let probe_cfg = with_resources(&base, min_heap_mb, MrHeapAssignment::uniform(min_heap_mb));
-        let probe_compiled = match &scope {
-            None => compile(analyzed, &probe_cfg)?,
-            Some((start, env)) => compile_scope(analyzed, &probe_cfg, *start, env)?,
-        };
+        let memo = caching.then_some(&analyzed.memo);
+        let probe_compiled = compile_program(
+            analyzed,
+            &probe_cfg,
+            scope.as_ref().map(|(start, env)| (*start, env)),
+            memo,
+            true,
+        )?;
 
         let mut block_thresholds: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
         for s in &probe_compiled.summaries {
@@ -277,11 +288,19 @@ impl<'a> WhatIfSession<'a> {
         }
     }
 
-    fn compile_cfg(&self, cfg: &CompileConfig) -> Result<CompiledProgram, CompileError> {
-        match &self.scope {
-            None => compile(self.analyzed, cfg),
-            Some((start, env)) => compile_scope(self.analyzed, cfg, *start, env),
-        }
+    /// The front-end memo compilations consult: the analyzed program's
+    /// when caching, none (build afresh) in bypass mode.
+    fn memo(&self) -> Option<&'a FrontEndMemo> {
+        self.caching.then_some(&self.analyzed.memo)
+    }
+
+    fn compile_cfg(
+        &self,
+        cfg: &CompileConfig,
+        memo: Option<&FrontEndMemo>,
+    ) -> Result<CompiledProgram, CompileError> {
+        let scope = self.scope.as_ref().map(|(start, env)| (*start, env));
+        compile_program(self.analyzed, cfg, scope, memo, false)
     }
 
     /// What-if compile the whole program (or session scope) under the
@@ -330,7 +349,7 @@ impl<'a> WhatIfSession<'a> {
     ) -> Result<Arc<PlanHandle>, CompileError> {
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let cfg = with_resources(&self.base, cp_heap_mb, mr_heap.clone());
-        let compiled = self.compile_cfg(&cfg)?;
+        let compiled = self.compile_cfg(&cfg, self.memo())?;
         self.compilations
             .fetch_add(compiled.stats.block_compilations, Ordering::Relaxed);
         Ok(Arc::new(PlanHandle {
@@ -339,19 +358,20 @@ impl<'a> WhatIfSession<'a> {
         }))
     }
 
-    /// Compile the plan bypassing the cache, without touching the session
-    /// counters: the same artifact `compile_plan` would produce on a cache
-    /// miss, but invisible to the hit/miss accounting. This is the oracle
-    /// for debug-mode cache verification — a cached plan must be
+    /// Compile the plan bypassing the cache and the front-end memo,
+    /// without touching the session counters: the same artifact
+    /// `compile_plan` would produce on a cache miss, but built from
+    /// scratch and invisible to the hit/miss accounting. This is the
+    /// oracle for debug-mode cache verification — a cached plan must be
     /// byte-identical to this fresh compile, or the breakpoint
-    /// fingerprinting collided.
+    /// fingerprinting (or the memo key) collided.
     pub fn compile_plan_uncached(
         &self,
         cp_heap_mb: u64,
         mr_heap: &MrHeapAssignment,
     ) -> Result<Arc<PlanHandle>, CompileError> {
         let cfg = with_resources(&self.base, cp_heap_mb, mr_heap.clone());
-        let compiled = self.compile_cfg(&cfg)?;
+        let compiled = self.compile_cfg(&cfg, None)?;
         Ok(Arc::new(PlanHandle {
             generic_instructions: Arc::new(collect_generic_instructions(&compiled)),
             compiled: Arc::new(compiled),
@@ -391,8 +411,13 @@ impl<'a> WhatIfSession<'a> {
             MrHeapAssignment::uniform(self.min_heap_mb),
         );
         cfg.mr_heap.set_block(block_id, mr_heap_mb);
-        let (instructions, summary, stats) =
-            compile_single_block(self.analyzed, &cfg, reml_lang::BlockId(block_id), entry_env)?;
+        let (instructions, summary, stats) = compile_block_in(
+            self.analyzed,
+            &cfg,
+            reml_lang::BlockId(block_id),
+            &mut entry_env.clone(),
+            self.memo(),
+        )?;
         self.compilations
             .fetch_add(stats.block_compilations, Ordering::Relaxed);
         let block = Arc::new(CompiledBlock {
@@ -450,11 +475,6 @@ pub fn collect_generic_instructions(
         });
     }
     out
-}
-
-fn sort_dedup(values: &mut Vec<f64>) {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("thresholds are finite"));
-    values.dedup();
 }
 
 #[cfg(test)]

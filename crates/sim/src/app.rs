@@ -550,11 +550,19 @@ impl<'a> SimState<'a> {
             self.handle_am_kill(id)?;
         }
 
-        // Dynamic recompilation: compile with actual sizes.
+        // Dynamic recompilation: compile with actual sizes. The entry
+        // environment stays intact for the adaptation decision and the
+        // OOM retry; otherwise the compile advances it in place.
+        let env_snapshot = oom_watermark.map(|_| self.env.clone());
+        let may_adapt = self.reopt && self.marked.contains(&id.0) && !self.adapted.contains(&id.0);
+        let mut env = if may_adapt {
+            self.env.clone()
+        } else {
+            std::mem::take(&mut self.env)
+        };
         let cfg = self.current_cfg();
-        let mut probe_env = self.env.clone();
-        let (instructions, _summary, _stats) =
-            compile_block_with_env(self.analyzed, &cfg, id, &mut probe_env)?;
+        let (mut instructions, _summary, _stats) =
+            compile_block_with_env(self.analyzed, &cfg, id, &mut env)?;
         self.outcome.recompilations += 1;
         self.mark_recompile("recompile");
 
@@ -563,16 +571,19 @@ impl<'a> SimState<'a> {
         // at this block before.
         let has_mr = instructions.iter().any(Instruction::is_mr);
         reml_trace::event!("sim.recompile", block = id.0, has_mr = has_mr);
-        if self.reopt && has_mr && self.marked.contains(&id.0) && !self.adapted.contains(&id.0) {
+        if may_adapt && has_mr {
             self.adapted.insert(id.0);
+            let before = self.resources.clone();
             self.adapt(id)?;
+            // Recompile and execute at the updated resources; unchanged
+            // resources would reproduce the plan just compiled.
+            if self.resources != before {
+                let cfg = self.current_cfg();
+                env = self.env.clone();
+                instructions = compile_block_with_env(self.analyzed, &cfg, id, &mut env)?.0;
+            }
         }
-
-        // (Re)compile at the possibly-updated resources and execute.
-        let cfg = self.current_cfg();
-        let env_snapshot = oom_watermark.map(|_| self.env.clone());
-        let (instructions, _summary, _stats) =
-            compile_block_with_env(self.analyzed, &cfg, id, &mut self.env)?;
+        self.env = env;
         let mr_heap = self.resources.mr_heap.for_block(id.0);
         let mut temps: Vec<String> = Vec::new();
         let attempt_start = self.now();

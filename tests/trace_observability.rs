@@ -184,3 +184,56 @@ fn trace_timestamps_follow_virtual_time() {
         assert_eq!(last_fault.ts_us, (out.elapsed_s * 1e6).round() as u64);
     });
 }
+
+#[test]
+fn front_end_counters_match_hop_build_spans() {
+    with_global_recorder_lock(|| {
+        let script = reml::scripts::glm();
+        let shape = DataShape {
+            scenario: Scenario::S,
+            cols: 1000,
+            sparsity: 1.0,
+        };
+        let cluster = ClusterConfig::paper_cluster();
+        let base = script.compile_config(shape, cluster, 512, MrHeapAssignment::uniform(512));
+        let analyzed = reml::compiler::pipeline::analyze_program(&script.source).unwrap();
+        let counter = |name: &str| reml::trace::metrics().counter(name).get();
+        let recorder = Recorder::new(1 << 18);
+        reml::trace::install(std::sync::Arc::clone(&recorder));
+        let (hits0, misses0) = (
+            counter("compile.front_end.hits"),
+            counter("compile.front_end.misses"),
+        );
+        let first = compile(&analyzed, &base).unwrap();
+        let (mid_hits, mid_misses) = (
+            counter("compile.front_end.hits"),
+            counter("compile.front_end.misses"),
+        );
+        let mut big = base.clone();
+        big.cp_heap_mb = 8 * 1024;
+        let second = compile(&analyzed, &big).unwrap();
+        let (hits, misses) = (
+            counter("compile.front_end.hits"),
+            counter("compile.front_end.misses"),
+        );
+        reml::trace::uninstall();
+        let builds = recorder
+            .drain()
+            .iter()
+            .filter(|r| {
+                matches!(&r.data, RecordData::SpanBegin { name, .. } if name == "compile.hop_build")
+            })
+            .count() as u64;
+        // Every miss is one real (spanned) build; the second compile
+        // re-lowers the first one's front ends without building any.
+        assert_eq!(misses - misses0, builds);
+        assert!(mid_misses > misses0);
+        assert_eq!(misses, mid_misses, "the second compile builds nothing");
+        assert!(mid_hits - hits0 < hits - mid_hits);
+        assert!(hits - mid_hits >= second.stats.block_compilations);
+        assert_eq!(
+            first.stats.block_compilations,
+            second.stats.block_compilations
+        );
+    });
+}
