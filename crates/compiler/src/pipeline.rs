@@ -49,6 +49,18 @@ impl AnalyzedProgram {
         count_all_blocks(&self.blocks)
     }
 
+    /// The memoized front end of generic block `block`, if one was built
+    /// under a config and entry environment matching `config` and `env`.
+    /// Its DAG is the one a fresh build from `env` would produce.
+    pub fn memoized_front_end(
+        &self,
+        block: usize,
+        config: &CompileConfig,
+        env: &Env,
+    ) -> Option<Arc<FrontEnd>> {
+        self.memo.lookup(block, config, env)
+    }
+
     /// Find a statement block by id anywhere in the hierarchy.
     pub fn find_block(&self, id: BlockId) -> Option<&StatementBlock> {
         fn find(blocks: &[StatementBlock], id: BlockId) -> Option<&StatementBlock> {

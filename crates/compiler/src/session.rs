@@ -89,11 +89,11 @@ pub struct SessionStats {
 /// Whole-program cache key: CP fingerprint, default-MR fingerprint, and
 /// the per-block override fingerprints that differ from the default's
 /// interval on their block (sorted by block id).
-type PlanKey = (u64, u64, Vec<(usize, u64)>);
+pub type PlanKey = (u64, u64, Vec<(usize, u64)>);
 
 /// Single-block cache key: (block id, CP fingerprint, MR fingerprint)
 /// over that block's own thresholds.
-type BlockKey = (usize, u64, u64);
+pub type BlockKey = (usize, u64, u64);
 
 /// One analyzed program + cluster, with breakpoint-keyed caches over
 /// every what-if compilation requested against them.
@@ -253,7 +253,11 @@ impl<'a> WhatIfSession<'a> {
         thresholds.partition_point(|t| *t <= budget) as u64
     }
 
-    fn plan_key(&self, cp_heap_mb: u64, mr_heap: &MrHeapAssignment) -> PlanKey {
+    /// The plan identity of `(cp_heap_mb, mr_heap)`: two requests with
+    /// the same key compile to the same plan. Keys are only comparable
+    /// while the threshold list is unchanged (see
+    /// [`WhatIfSession::add_program_threshold_mb`]).
+    pub fn plan_key(&self, cp_heap_mb: u64, mr_heap: &MrHeapAssignment) -> PlanKey {
         let cp_fp = self.fingerprint(&self.program_thresholds, cp_heap_mb);
         let default_fp = self.fingerprint(&self.program_thresholds, mr_heap.default_mb);
         let mut overrides = Vec::new();
@@ -273,7 +277,9 @@ impl<'a> WhatIfSession<'a> {
         (cp_fp, default_fp, overrides)
     }
 
-    fn block_key(&self, block_id: usize, cp_heap_mb: u64, mr_heap_mb: u64) -> BlockKey {
+    /// The identity of one block's instructions under `(cp, mr)` heaps:
+    /// two requests with the same key lower the block identically.
+    pub fn block_key(&self, block_id: usize, cp_heap_mb: u64, mr_heap_mb: u64) -> BlockKey {
         match self.block_thresholds.get(&block_id) {
             Some(th) => (
                 block_id,

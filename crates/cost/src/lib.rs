@@ -37,4 +37,4 @@ pub use calibrate::{
 };
 pub use flops::instruction_flops;
 pub use model::{CostBreakdown, CostModel, DEFAULT_UNKNOWN_ITERATIONS};
-pub use state::{VarState, VarStates};
+pub use state::{BudgetRange, VarState, VarStates};

@@ -10,7 +10,7 @@ use reml_runtime::value::Operand;
 
 use crate::calibrate::CalibrationProfile;
 use crate::flops::instruction_flops;
-use crate::state::{VarState, VarStates};
+use crate::state::{BudgetRange, VarState, VarStates};
 
 /// Iteration count assumed for loops whose bound is unknown — "a constant
 /// which at least reflects that the body is executed multiple times"
@@ -117,13 +117,30 @@ impl CostModel {
         cp_heap_mb: u64,
         mr_heap_mb: &dyn Fn(usize) -> u64,
     ) -> CostBreakdown {
+        self.cost_program_ranged(program, cp_heap_mb, mr_heap_mb).0
+    }
+
+    /// [`CostModel::cost_program`], plus the range of CP budgets under
+    /// which the result stays bit-identical (with the same MR heaps).
+    pub fn cost_program_ranged(
+        &self,
+        program: &RuntimeProgram,
+        cp_heap_mb: u64,
+        mr_heap_mb: &dyn Fn(usize) -> u64,
+    ) -> (CostBreakdown, BudgetRange) {
         reml_trace::count("cost.program_invocations", 1);
         let mut states = VarStates::new();
         let mut total = CostBreakdown::default();
         for block in &program.blocks {
             total.add(&self.cost_block(block, cp_heap_mb, mr_heap_mb, &mut states));
         }
-        total
+        (total, states.budget_range(self.cp_budget_bytes(cp_heap_mb)))
+    }
+
+    /// The CP budget, in bytes, that eviction accounting charges against
+    /// under a `cp_heap_mb` control-program heap.
+    pub fn cp_budget_bytes(&self, cp_heap_mb: u64) -> u64 {
+        self.cluster.budget_mb_for_heap(cp_heap_mb) * 1024 * 1024
     }
 
     /// Cost a single block subtree with a fresh state map (the
@@ -191,12 +208,15 @@ impl CostModel {
                 }
                 total.add(&then_cost.scale(BRANCH_WEIGHT));
                 total.add(&else_cost.scale(BRANCH_WEIGHT));
-                // Keep the heavier branch's states (conservative).
-                *states = if then_cost.total_s() >= else_cost.total_s() {
-                    then_states
+                // Keep the heavier branch's states (conservative), and
+                // both branches' budget peaks: each was costed.
+                let (mut kept, other) = if then_cost.total_s() >= else_cost.total_s() {
+                    (then_states, else_states)
                 } else {
-                    else_states
+                    (else_states, then_states)
                 };
+                kept.merge_peak(&other);
+                *states = kept;
                 total
             }
             RtBlock::While {
@@ -357,8 +377,7 @@ impl CostModel {
         }
         // Partial eviction accounting: overflow beyond the CP budget is
         // written out (and re-read on next use via the OnHdfs state).
-        let budget_bytes = self.cluster.budget_mb_for_heap(cp_heap_mb) * 1024 * 1024;
-        let evicted = states.enforce_budget(budget_bytes);
+        let evicted = states.enforce_budget(self.cp_budget_bytes(cp_heap_mb));
         if evicted > 0 {
             c.io_s += evicted as f64 / MBF / self.cluster.hdfs_write_mbs;
         }
@@ -800,6 +819,119 @@ mod tests {
         let c_heavy = m.cost_block_fresh(&heavy, 1_000_000, &|_| 512);
         // Weighted at 0.5.
         assert!((c_branch.total_s() - 0.5 * c_heavy.total_s()).abs() < 1e-9);
+    }
+
+    /// A dense column vector of exactly `mb` MiB.
+    fn vec_mib(mb: u64) -> MatrixCharacteristics {
+        dense(mb * 1024 * 1024 / reml_matrix::DENSE_CELL_BYTES, 1)
+    }
+
+    fn generic(instructions: Vec<Instruction>) -> RtBlock {
+        RtBlock::Generic {
+            source: BlockId(1),
+            instructions,
+            requires_recompile: false,
+        }
+    }
+
+    /// Cost one block with fresh state, returning its budget range too.
+    fn cost_ranged(m: &CostModel, block: &RtBlock, heap_mb: u64) -> (CostBreakdown, BudgetRange) {
+        let mut states = VarStates::new();
+        let cost = m.cost_block(block, heap_mb, &|_| 512, &mut states);
+        (cost, states.budget_range(m.cp_budget_bytes(heap_mb)))
+    }
+
+    #[test]
+    fn budget_peak_is_tight() {
+        // X (350 MiB) read from HDFS, then Y = X * 2 (350 MiB) makes both
+        // resident: a peak of exactly 700 MiB — the budget of a 1000 MB
+        // heap. One MB of heap less and X is evicted.
+        let m = model();
+        let x = vec_mib(350);
+        let block = generic(vec![
+            cp(
+                OpCode::PersistentRead { path: "X".into() },
+                vec![],
+                Some(("X", x)),
+            ),
+            cp(
+                OpCode::BinaryMS(BinaryOp::Mul),
+                vec![
+                    (Operand::var("X"), x),
+                    (Operand::num(2.0), MatrixCharacteristics::scalar()),
+                ],
+                Some(("Y", x)),
+            ),
+        ]);
+        let peak = 700 * 1024 * 1024;
+        assert_eq!(m.cp_budget_bytes(1000), peak);
+        let (unbounded, range) = cost_ranged(&m, &block, 1_000_000);
+        assert_eq!(range, BudgetRange::AtLeast(peak));
+        let (at_peak, range) = cost_ranged(&m, &block, 1000);
+        assert_eq!(range, BudgetRange::AtLeast(peak));
+        assert_eq!(at_peak, unbounded);
+        let below = m.cp_budget_bytes(999);
+        assert!(below < peak);
+        let (evicted, range) = cost_ranged(&m, &block, 999);
+        assert_eq!(range, BudgetRange::Exactly(below));
+        assert!(evicted.io_s > unbounded.io_s, "X's eviction is written out");
+    }
+
+    #[test]
+    fn if_merge_keeps_both_branch_peaks() {
+        // The then branch is cheap but holds 700 MiB at once; the else
+        // branch reads 100 MiB from HDFS (dearer) and peaks at nothing.
+        // The heavier else state is kept, but the budget range must
+        // still carry the then branch's peak: below it, the then branch
+        // evicts and the weighted cost changes.
+        let m = model();
+        let a = vec_mib(350);
+        let x = vec_mib(100);
+        let cheap = generic(vec![
+            cp(OpCode::DataGenConst, vec![], Some(("A", a))),
+            cp(
+                OpCode::BinaryMS(BinaryOp::Mul),
+                vec![
+                    (Operand::var("A"), a),
+                    (Operand::num(2.0), MatrixCharacteristics::scalar()),
+                ],
+                Some(("B", a)),
+            ),
+        ]);
+        let dear = generic(vec![
+            cp(
+                OpCode::PersistentRead { path: "X".into() },
+                vec![],
+                Some(("X", x)),
+            ),
+            cp(
+                OpCode::Agg(reml_matrix::AggOp::Sum),
+                vec![(Operand::var("X"), x)],
+                Some(("s", MatrixCharacteristics::scalar())),
+            ),
+        ]);
+        let (cheap_cost, cheap_range) = cost_ranged(&m, &cheap, 1_000_000);
+        let (dear_cost, dear_range) = cost_ranged(&m, &dear, 1_000_000);
+        assert!(dear_cost.total_s() > cheap_cost.total_s());
+        assert_eq!(dear_range, BudgetRange::AtLeast(0));
+        let peak = 700 * 1024 * 1024;
+        assert_eq!(cheap_range, BudgetRange::AtLeast(peak));
+        let branch = RtBlock::If {
+            source: BlockId(0),
+            pred: Predicate {
+                instructions: vec![],
+                result_var: "c".into(),
+            },
+            then_blocks: vec![cheap],
+            else_blocks: vec![dear],
+        };
+        let (unbounded, range) = cost_ranged(&m, &branch, 1_000_000);
+        assert_eq!(range, BudgetRange::AtLeast(peak));
+        let (at_peak, _) = cost_ranged(&m, &branch, 1000);
+        assert_eq!(at_peak, unbounded);
+        let (below, range) = cost_ranged(&m, &branch, 999);
+        assert_eq!(range, BudgetRange::Exactly(m.cp_budget_bytes(999)));
+        assert!(below.io_s > unbounded.io_s);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! single implementation of those stages; each optimizer front end only
 //! decides *which* grid points to walk and in what order. All
 //! compilation goes through the [`WhatIfSession`]'s breakpoint-keyed
-//! caches, and per-block costing is memoized here keyed by
-//! `(block, r_c, rⁱ)` (the cost model reads the actual heap sizes, not
-//! just the plan, so the raw heaps stay in the key).
+//! caches, and costing is memoized here by plan identity (see
+//! [`CostMemo`]).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,23 +16,38 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use reml_compiler::session::{PlanHandle, WhatIfSession};
+use reml_compiler::session::{BlockKey, PlanHandle, PlanKey, WhatIfSession};
 use reml_compiler::{CompileError, MrHeapAssignment};
-use reml_cost::VarStates;
+use reml_cost::{BudgetRange, VarStates};
 use reml_runtime::Instruction;
 
 use crate::optimizer::ResourceOptimizer;
 use crate::resources::ResourceConfig;
 
-/// Memoized per-block costing. `runs` counts actual cost-model
-/// executions (the paper's "# Cost."); hits return the stored value
-/// without running the model.
+/// What a memoized costing priced. The session key fixes the plan; the
+/// raw MR heaps stay in the key because MR costing reads them directly
+/// (slot counts, spill budget).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum CostKey {
+    /// One block's instructions, and its raw MR heap.
+    Block(BlockKey, u64),
+    /// The whole program (or scope), and its raw MR assignment.
+    Program(PlanKey, MrHeapAssignment),
+}
+
+/// Memoized costing, keyed by plan identity rather than raw `r_c`. The
+/// CP budget only matters to the cost model when it evicts, so an entry
+/// carries the [`BudgetRange`] its result holds for: every budget at or
+/// above the scan's peak resident bytes if nothing was evicted, only
+/// its own budget otherwise. The memo lives for one grid walk, after
+/// soundness pruning has fixed the session's threshold list, so its
+/// keys stay comparable. `runs` counts actual cost-model executions
+/// (the paper's "# Cost."); hits return the stored value without
+/// running the model.
 pub(crate) struct CostMemo {
     enabled: bool,
-    /// (block id, cp heap, mr heap) → cost in f64 bits.
-    map: Mutex<HashMap<(usize, u64, u64), u64>>,
+    map: Mutex<HashMap<CostKey, Vec<(BudgetRange, u64)>>>,
     runs: AtomicU64,
-    hits: AtomicU64,
     /// Wall time inside actual cost-model executions, microseconds (the
     /// "cost" column of the Table 3 phase split). Shared atomics so the
     /// parallel optimizer's workers accumulate into the same totals.
@@ -48,9 +62,9 @@ pub(crate) struct CostMemo {
     verified: Mutex<std::collections::HashSet<PlanReq>>,
 }
 
-/// A concrete plan request: `(r_c, default rⁱ, per-block overrides)`.
+/// A concrete plan request: `(r_c, MR assignment)`.
 #[cfg(debug_assertions)]
-type PlanReq = (u64, u64, Vec<(usize, u64)>);
+type PlanReq = (u64, MrHeapAssignment);
 
 impl CostMemo {
     pub(crate) fn new(enabled: bool) -> Self {
@@ -58,7 +72,6 @@ impl CostMemo {
             enabled,
             map: Mutex::new(HashMap::new()),
             runs: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
             cost_us: AtomicU64::new(0),
             stage_us: AtomicU64::new(0),
             #[cfg(debug_assertions)]
@@ -70,35 +83,97 @@ impl CostMemo {
     pub(crate) fn cost_block(
         &self,
         opt: &ResourceOptimizer,
+        session: &WhatIfSession<'_>,
         instructions: &[Instruction],
         block_id: usize,
         rc: u64,
         ri: u64,
     ) -> f64 {
-        let key = (block_id, rc, ri);
-        if self.enabled {
-            if let Some(bits) = self.map.lock().get(&key).copied() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return f64::from_bits(bits);
-            }
+        let key = CostKey::Block(session.block_key(block_id, rc, ri), ri);
+        self.memoized(opt, key, rc, || {
+            let mut states = VarStates::new();
+            let cost = opt
+                .cost_model
+                .cost_instructions(instructions, rc, ri, &mut states);
+            let range = states.budget_range(opt.cost_model.cp_budget_bytes(rc));
+            (cost.total_s(), range)
+        })
+    }
+
+    /// Cost a whole-program (or scope) plan under `(rc, mr_heap)`,
+    /// memoized.
+    fn cost_plan(
+        &self,
+        opt: &ResourceOptimizer,
+        session: &WhatIfSession<'_>,
+        plan: &PlanHandle,
+        rc: u64,
+        mr_heap: &MrHeapAssignment,
+    ) -> f64 {
+        let key = CostKey::Program(session.plan_key(rc, mr_heap), mr_heap.clone());
+        self.memoized(opt, key, rc, || {
+            let (cost, range) =
+                opt.cost_model
+                    .cost_program_ranged(&plan.compiled.runtime, rc, &|bid| mr_heap.for_block(bid));
+            (cost.total_s(), range)
+        })
+    }
+
+    /// Serve `key` at CP heap `rc` from an entry whose budget range
+    /// covers it, or run `cost` and keep its result. Debug builds re-run
+    /// `cost` on every hit and require the stored bits.
+    fn memoized(
+        &self,
+        opt: &ResourceOptimizer,
+        key: CostKey,
+        rc: u64,
+        cost: impl Fn() -> (f64, BudgetRange),
+    ) -> f64 {
+        if !self.enabled {
+            return self.run(&cost).0;
         }
+        let budget = opt.cost_model.cp_budget_bytes(rc);
+        let hit = self.map.lock().get(&key).and_then(|entries| {
+            entries
+                .iter()
+                .find(|(range, _)| range.contains(budget))
+                .map(|&(_, bits)| bits)
+        });
+        if let Some(bits) = hit {
+            reml_trace::count("optimizer.cost_memo.hits", 1);
+            #[cfg(debug_assertions)]
+            {
+                let fresh = cost().0;
+                assert!(
+                    fresh.to_bits() == bits,
+                    "cost memo hit diverges from a fresh costing at rc={rc} MB \
+                     ({key:?}): memo {} vs fresh {fresh}",
+                    f64::from_bits(bits)
+                );
+            }
+            return f64::from_bits(bits);
+        }
+        reml_trace::count("optimizer.cost_memo.misses", 1);
+        let (total, range) = self.run(&cost);
+        // A racing worker may have inserted an equal entry meanwhile;
+        // both are the same deterministic result, so a duplicate is
+        // harmless.
+        self.map
+            .lock()
+            .entry(key)
+            .or_default()
+            .push((range, total.to_bits()));
+        total
+    }
+
+    /// One actual cost-model execution, timed and counted.
+    fn run(&self, cost: &impl Fn() -> (f64, BudgetRange)) -> (f64, BudgetRange) {
         let t0 = Instant::now();
-        let cost = opt
-            .cost_model
-            .cost_instructions(instructions, rc, ri, &mut VarStates::new())
-            .total_s();
+        let out = cost();
         self.cost_us
             .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
         self.runs.fetch_add(1, Ordering::Relaxed);
-        if self.enabled {
-            self.map.lock().insert(key, cost.to_bits());
-        }
-        cost
-    }
-
-    /// Record an unmemoized cost-model run (whole-program costing).
-    pub(crate) fn count_direct(&self) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
+        out
     }
 
     /// Actual cost-model executions so far.
@@ -154,12 +229,7 @@ fn debug_verify_plan(
     mr_heap: &MrHeapAssignment,
     plan: &PlanHandle,
 ) {
-    let req: PlanReq = (
-        rc,
-        mr_heap.default_mb,
-        mr_heap.per_block.iter().map(|(b, h)| (*b, *h)).collect(),
-    );
-    if !memo.verified.lock().insert(req) {
+    if !memo.verified.lock().insert((rc, mr_heap.clone())) {
         return;
     }
     let cfg = reml_compiler::session::with_resources(session.base(), rc, mr_heap.clone());
@@ -245,7 +315,7 @@ pub(crate) fn stage_baseline(
             continue;
         }
         let instrs = &plan.generic_instructions[&bid];
-        let cost = memo.cost_block(opt, instrs, bid, rc, min);
+        let cost = memo.cost_block(opt, session, instrs, bid, rc, min);
         blocks.push((bid, cost));
     }
     Ok(BaselineOut {
@@ -286,7 +356,7 @@ pub(crate) fn stage_enum_block(
         let Ok(block) = session.compile_block(block_id, rc, ri) else {
             continue;
         };
-        let cost = memo.cost_block(opt, &block.instructions, block_id, rc, ri);
+        let cost = memo.cost_block(opt, session, &block.instructions, block_id, rc, ri);
         if cost < best.1 {
             best = (ri, cost);
         }
@@ -316,15 +386,7 @@ pub(crate) fn stage_agg(
     let plan = session.compile_plan(rc, &mr_heap)?;
     #[cfg(debug_assertions)]
     debug_verify_plan(session, memo, rc, &mr_heap, &plan);
-    let heap_of = mr_heap.clone();
-    let t0 = Instant::now();
-    let cost = opt
-        .cost_model
-        .cost_program(&plan.compiled.runtime, rc, &|bid| heap_of.for_block(bid))
-        .total_s();
-    memo.cost_us
-        .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-    memo.count_direct();
+    let cost = memo.cost_plan(opt, session, &plan, rc, &mr_heap);
     reml_trace::event!("optimize.point", rc = rc, cost = cost);
     Ok((
         ResourceConfig {

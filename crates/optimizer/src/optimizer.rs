@@ -392,10 +392,18 @@ impl ResourceOptimizer {
             min_heap,
             reml_compiler::MrHeapAssignment::uniform(min_heap),
         );
+        // The probe compile just memoized every block's front end; the
+        // bypass mode keeps the analysis independent of the memo too.
+        let dags = if self.config.plan_cache {
+            reml_sizebound::DagSource::FrontEndMemo
+        } else {
+            reml_sizebound::DagSource::Rebuild
+        };
         let sound_min = match reml_sizebound::analyze_with_min_budget(
             analyzed,
             &session.probe().compiled,
             &probe_cfg,
+            dags,
         ) {
             Ok((_, min)) => min,
             // Analysis failure must never fail optimization: no pruning.

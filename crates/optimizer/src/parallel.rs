@@ -97,7 +97,6 @@ pub fn optimize_parallel(
     // generation, breakpoint thresholds, and the plan caches all workers
     // serve from.
     let mut session = WhatIfSession::new(analyzed, base, scope, opt.config.plan_cache)?;
-    let memo = CostMemo::new(opt.config.plan_cache);
     let mem_estimates: Vec<f64> = session
         .probe()
         .compiled
@@ -129,6 +128,9 @@ pub fn optimize_parallel(
         workers = opt.config.workers
     );
     let session = session;
+    // Created after pruning, like the serial path's: cost keys are only
+    // comparable over the final threshold list.
+    let memo = CostMemo::new(opt.config.plan_cache);
 
     let (task_tx, task_rx) = unbounded::<Task>();
     let (done_tx, done_rx) = unbounded::<Done>();

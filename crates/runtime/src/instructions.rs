@@ -103,6 +103,45 @@ impl OpCode {
         )
     }
 
+    /// The variant's name, as its `Debug` form begins (`MatMult`,
+    /// `BinaryMM`, `PersistentRead`, ...), without allocating.
+    pub fn variant_name(&self) -> &'static str {
+        match self {
+            OpCode::PersistentRead { .. } => "PersistentRead",
+            OpCode::PersistentWrite { .. } => "PersistentWrite",
+            OpCode::DataGenConst => "DataGenConst",
+            OpCode::DataGenSeq => "DataGenSeq",
+            OpCode::DataGenRand => "DataGenRand",
+            OpCode::MatMult => "MatMult",
+            OpCode::MatMultTransLeft => "MatMultTransLeft",
+            OpCode::Tsmm => "Tsmm",
+            OpCode::MmChain => "MmChain",
+            OpCode::Solve => "Solve",
+            OpCode::Transpose => "Transpose",
+            OpCode::Diag => "Diag",
+            OpCode::BinaryMM(_) => "BinaryMM",
+            OpCode::BinaryMS(_) => "BinaryMS",
+            OpCode::BinarySM(_) => "BinarySM",
+            OpCode::BinarySS(_) => "BinarySS",
+            OpCode::UnaryM(_) => "UnaryM",
+            OpCode::UnaryS(_) => "UnaryS",
+            OpCode::Agg(_) => "Agg",
+            OpCode::TableSeq => "TableSeq",
+            OpCode::RightIndex => "RightIndex",
+            OpCode::LeftIndex => "LeftIndex",
+            OpCode::Append => "Append",
+            OpCode::AppendR => "AppendR",
+            OpCode::NRow => "NRow",
+            OpCode::NCol => "NCol",
+            OpCode::CastScalar => "CastScalar",
+            OpCode::CastMatrix => "CastMatrix",
+            OpCode::Assign => "Assign",
+            OpCode::Concat => "Concat",
+            OpCode::Print => "Print",
+            OpCode::RmVar => "RmVar",
+        }
+    }
+
     /// Short opcode mnemonic for EXPLAIN-style plan rendering.
     pub fn mnemonic(&self) -> String {
         match self {
@@ -367,6 +406,49 @@ mod tests {
             shuffle: vec![mc(10, 10)],
         };
         assert!(job.has_reduce());
+    }
+
+    #[test]
+    fn variant_names_match_debug() {
+        let ops = [
+            OpCode::PersistentRead { path: "X".into() },
+            OpCode::PersistentWrite { path: "X".into() },
+            OpCode::DataGenConst,
+            OpCode::DataGenSeq,
+            OpCode::DataGenRand,
+            OpCode::MatMult,
+            OpCode::MatMultTransLeft,
+            OpCode::Tsmm,
+            OpCode::MmChain,
+            OpCode::Solve,
+            OpCode::Transpose,
+            OpCode::Diag,
+            OpCode::BinaryMM(BinaryOp::Mul),
+            OpCode::BinaryMS(BinaryOp::Mul),
+            OpCode::BinarySM(BinaryOp::Mul),
+            OpCode::BinarySS(BinaryOp::Mul),
+            OpCode::UnaryM(UnaryOp::Abs),
+            OpCode::UnaryS(UnaryOp::Abs),
+            OpCode::Agg(AggOp::Sum),
+            OpCode::TableSeq,
+            OpCode::RightIndex,
+            OpCode::LeftIndex,
+            OpCode::Append,
+            OpCode::AppendR,
+            OpCode::NRow,
+            OpCode::NCol,
+            OpCode::CastScalar,
+            OpCode::CastMatrix,
+            OpCode::Assign,
+            OpCode::Concat,
+            OpCode::Print,
+            OpCode::RmVar,
+        ];
+        for op in ops {
+            let debug = format!("{op:?}");
+            let head = debug.split([' ', '{', '(']).next().unwrap();
+            assert_eq!(op.variant_name(), head);
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! still compile to MR jobs trigger the §4 re-optimization/migration
 //! loop.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 use rand::rngs::StdRng;
@@ -668,7 +669,7 @@ impl<'a> SimState<'a> {
     /// Returns `(opcode, needed_mb)` when it fires.
     fn cp_oom_check(&self, instr: &Instruction, frac: f64) -> Option<(String, u64)> {
         let patched = patch_unknowns(instr, &self.facts);
-        let Instruction::Cp(cp) = &patched else {
+        let Instruction::Cp(cp) = patched.as_ref() else {
             return None;
         };
         // Reads/writes stream block-wise; only computational operators
@@ -891,7 +892,7 @@ impl<'a> SimState<'a> {
     fn time_instruction(&mut self, instr: &Instruction, mr_heap_mb: u64) {
         let patched = patch_unknowns(instr, &self.facts);
         let cost = self.cost_model.cost_instructions(
-            std::slice::from_ref(&patched),
+            std::slice::from_ref(patched.as_ref()),
             // The simulator models evictions itself via the shadow pool;
             // disable the cost model's partial eviction accounting here.
             u64::MAX / (2 * 1024 * 1024),
@@ -901,7 +902,7 @@ impl<'a> SimState<'a> {
         // Causal identity of this instruction's work: a distributed job
         // runs `width` tasks in parallel (serialized work = duration ×
         // width); CP work is serial.
-        let (kind, label, width, input_mb) = match &patched {
+        let (kind, label, width, input_mb) = match patched.as_ref() {
             Instruction::MrJob(job) => {
                 let input_mb = job
                     .hdfs_inputs
@@ -912,16 +913,16 @@ impl<'a> SimState<'a> {
                 let width = (self.sim.cluster.num_splits(input_mb) as u64)
                     .min(self.sim.cluster.total_slots(mr_heap_mb) as u64)
                     .max(1);
-                (CausalKind::MrJob, "mr.job".to_string(), width, input_mb)
+                (CausalKind::MrJob, "mr.job", width, input_mb)
             }
-            Instruction::Cp(cp) => (CausalKind::Cp, opcode_tag(&cp.opcode), 1, 0),
+            Instruction::Cp(cp) => (CausalKind::Cp, cp.opcode.variant_name(), 1, 0),
         };
-        self.charge_par(Comp::Io, Bucket::Io, kind, &label, cost.io_s, width);
+        self.charge_par(Comp::Io, Bucket::Io, kind, label, cost.io_s, width);
         self.charge_par(
             Comp::Compute,
             Bucket::Compute,
             kind,
-            &label,
+            label,
             cost.compute_s,
             width,
         );
@@ -929,7 +930,7 @@ impl<'a> SimState<'a> {
             Comp::Shuffle,
             Bucket::Shuffle,
             kind,
-            &label,
+            label,
             cost.shuffle_s,
             width,
         );
@@ -940,7 +941,7 @@ impl<'a> SimState<'a> {
                 Comp::Latency,
                 Bucket::QueueWait,
                 kind,
-                &label,
+                label,
                 cost.latency_s * jitter,
             );
             let first = self.outcome.mr_jobs;
@@ -956,12 +957,12 @@ impl<'a> SimState<'a> {
                 Comp::Latency,
                 Bucket::SchedulingDelay,
                 kind,
-                &label,
+                label,
                 cost.latency_s,
             );
         }
         // Shadow buffer pool: evictions/restores the cost model ignores.
-        match &patched {
+        match patched.as_ref() {
             Instruction::Cp(cp) => {
                 if let OpCode::PersistentWrite { .. } = &cp.opcode {
                     if let Some(v) = cp.operands.first().and_then(|o| o.as_var()) {
@@ -1139,18 +1140,42 @@ fn decision_opt_overhead_s() -> f64 {
     0.5
 }
 
-/// Short opcode tag for causal-node labels (`MatMult { .. }` → "MatMult").
-fn opcode_tag(op: &OpCode) -> String {
-    let s = format!("{op:?}");
-    s.split([' ', '{', '(']).next().unwrap_or("op").to_string()
+/// Whether a characteristic has an unknown dimension or nnz.
+fn is_unknown(mc: &MatrixCharacteristics) -> bool {
+    !(mc.dims_known() && mc.nnz.is_some())
 }
 
 /// Replace unknown characteristics in an instruction with runtime-actual
 /// values: the only source of unknowns in the bundled programs is
-/// `table()`, whose width is `facts.table_cols`.
-fn patch_unknowns(instr: &Instruction, facts: &SimFacts) -> Instruction {
+/// `table()`, whose width is `facts.table_cols`. An instruction with
+/// nothing unknown is borrowed as is.
+fn patch_unknowns<'i>(instr: &'i Instruction, facts: &SimFacts) -> Cow<'i, Instruction> {
+    let any_unknown = match instr {
+        Instruction::Cp(cp) => cp
+            .operand_mcs
+            .iter()
+            .chain(std::iter::once(&cp.output_mc))
+            .any(is_unknown),
+        Instruction::MrJob(job) => {
+            job.hdfs_inputs
+                .iter()
+                .chain(&job.broadcast_inputs)
+                .chain(&job.outputs)
+                .any(|(_, mc)| is_unknown(mc))
+                || job.shuffle.iter().any(is_unknown)
+                || job.mappers.iter().chain(&job.reducers).any(|op| {
+                    op.operand_mcs
+                        .iter()
+                        .chain(std::iter::once(&op.output_mc))
+                        .any(is_unknown)
+                })
+        }
+    };
+    if !any_unknown {
+        return Cow::Borrowed(instr);
+    }
     let patch_mc = |mc: &MatrixCharacteristics, indicator: bool| -> MatrixCharacteristics {
-        if mc.dims_known() && mc.nnz.is_some() {
+        if !is_unknown(mc) {
             return *mc;
         }
         let rows = mc.rows.unwrap_or(facts.table_cols);
@@ -1172,7 +1197,7 @@ fn patch_unknowns(instr: &Instruction, facts: &SimFacts) -> Instruction {
             let indicator = matches!(cp.opcode, OpCode::TableSeq);
             cp.operand_mcs = cp.operand_mcs.iter().map(|m| patch_mc(m, false)).collect();
             cp.output_mc = patch_mc(&cp.output_mc, indicator);
-            Instruction::Cp(cp)
+            Cow::Owned(Instruction::Cp(cp))
         }
         Instruction::MrJob(job) => {
             let mut job = job.clone();
@@ -1194,7 +1219,7 @@ fn patch_unknowns(instr: &Instruction, facts: &SimFacts) -> Instruction {
             for mc in job.shuffle.iter_mut() {
                 *mc = patch_mc(mc, false);
             }
-            Instruction::MrJob(job)
+            Cow::Owned(Instruction::MrJob(job))
         }
     }
 }
@@ -1533,7 +1558,7 @@ mod tests {
             },
             bound_bytes: None,
         });
-        let Instruction::Cp(patched) = patch_unknowns(&instr, &facts) else {
+        let Instruction::Cp(patched) = patch_unknowns(&instr, &facts).into_owned() else {
             panic!()
         };
         assert_eq!(patched.output_mc.cols, Some(7));
@@ -1554,7 +1579,10 @@ mod tests {
             output_mc: mc.transpose(),
             bound_bytes: None,
         });
-        let Instruction::Cp(patched) = patch_unknowns(&instr, &facts) else {
+        let patched = patch_unknowns(&instr, &facts);
+        // Nothing to patch: the instruction is borrowed, not cloned.
+        assert!(matches!(patched, Cow::Borrowed(_)));
+        let Instruction::Cp(patched) = patched.as_ref() else {
             panic!()
         };
         assert_eq!(patched.operand_mcs[0], mc);

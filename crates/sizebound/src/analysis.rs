@@ -10,7 +10,10 @@
 //! block id for the DAG rebuild. Per generic block the canonical HOP DAG
 //! is rebuilt once via [`reml_planlint::rebuild_block_dag`] from the
 //! recorded (resource-independent) entry environment — hop ids then
-//! align with the `_mVar<hop>` names in the lowered instructions.
+//! align with the `_mVar<hop>` names in the lowered instructions. With
+//! [`DagSource::FrontEndMemo`] the analysis first takes the DAG the
+//! compiler memoized for that block and entry environment (the same
+//! build), and rebuilds only on a miss.
 //!
 //! ## Soundness of the leaf injections
 //!
@@ -26,7 +29,9 @@
 //! extents (`table()` columns) are *never* injected and stay ⊤.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use reml_compiler::frontend::FrontEnd;
 use reml_compiler::pipeline::{AnalyzedProgram, CompiledProgram};
 use reml_compiler::{CompileConfig, CompileError, HopDag, HopOp};
 use reml_lang::blocks::assigned_vars;
@@ -77,17 +82,41 @@ pub struct ProgramBounds {
     pub widening_steps: u64,
 }
 
+/// Where the analysis takes each generic block's HOP DAG from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DagSource {
+    /// Rebuild every DAG, independently of the compiler's memo: the
+    /// path of the oracles (planlint, the soundness audit).
+    Rebuild,
+    /// Reuse the analyzed program's memoized front end when one matches
+    /// the block's entry environment, rebuilding only on a miss: the
+    /// optimizer's path, right after its probe compile filled the memo.
+    FrontEndMemo,
+}
+
 /// Run the abstract interpretation over a compiled program and return
-/// the per-block bounds.
+/// the per-block bounds, rebuilding every block's DAG.
 pub fn analyze_bounds(
     analyzed: &AnalyzedProgram,
     compiled: &CompiledProgram,
     config: &CompileConfig,
 ) -> Result<ProgramBounds, CompileError> {
+    analyze_bounds_from(analyzed, compiled, config, DagSource::Rebuild)
+}
+
+/// [`analyze_bounds`] with the DAGs taken from `source`. Both sources
+/// give the same bounds: a memo hit is the build a rebuild would redo.
+pub(crate) fn analyze_bounds_from(
+    analyzed: &AnalyzedProgram,
+    compiled: &CompiledProgram,
+    config: &CompileConfig,
+    source: DagSource,
+) -> Result<ProgramBounds, CompileError> {
     let mut analyzer = Analyzer {
         analyzed,
         compiled,
         config,
+        source,
         dags: BTreeMap::new(),
         out: ProgramBounds::default(),
     };
@@ -96,33 +125,71 @@ pub fn analyze_bounds(
     Ok(analyzer.out)
 }
 
+/// A block's DAG: borrowed from the compiler's memo, or rebuilt.
+enum BlockDag {
+    Memo(Arc<FrontEnd>),
+    Rebuilt(HopDag),
+}
+
+impl BlockDag {
+    fn dag(&self) -> &HopDag {
+        match self {
+            BlockDag::Memo(fe) => &fe.dag,
+            BlockDag::Rebuilt(dag) => dag,
+        }
+    }
+}
+
 struct Analyzer<'a> {
     analyzed: &'a AnalyzedProgram,
     compiled: &'a CompiledProgram,
     config: &'a CompileConfig,
-    /// Rebuilt DAG per source block id (`None`: rebuild impossible, the
-    /// block's effects are treated as ⊤). The DAG is entry-environment
-    /// dependent only through the *compiler* env, which is fixed, so one
-    /// rebuild serves every fixpoint iteration.
-    dags: BTreeMap<usize, Option<HopDag>>,
+    source: DagSource,
+    /// DAG per source block id (`None`: rebuild impossible, the block's
+    /// effects are treated as ⊤). The DAG is entry-environment dependent
+    /// only through the *compiler* env, which is fixed, so one DAG
+    /// serves every fixpoint iteration.
+    dags: BTreeMap<usize, Option<BlockDag>>,
     out: ProgramBounds,
 }
 
 impl<'a> Analyzer<'a> {
     fn dag_for(&mut self, source: usize) -> Result<Option<&HopDag>, CompileError> {
         if !self.dags.contains_key(&source) {
-            let rebuilt = match (
+            let dag = match (
                 find_block(&self.analyzed.blocks, source),
                 self.compiled.entry_envs.get(&source),
             ) {
-                (Some(block), Some(entry)) => {
-                    Some(reml_planlint::rebuild_block_dag(self.config, block, entry)?)
-                }
+                (Some(block), Some(entry)) => Some(self.block_dag(block, entry)?),
                 _ => None,
             };
-            self.dags.insert(source, rebuilt);
+            self.dags.insert(source, dag);
         }
-        Ok(self.dags.get(&source).and_then(|d| d.as_ref()))
+        Ok(self
+            .dags
+            .get(&source)
+            .and_then(|d| d.as_ref())
+            .map(BlockDag::dag))
+    }
+
+    fn block_dag(
+        &self,
+        block: &reml_lang::StatementBlock,
+        entry: &reml_compiler::build::Env,
+    ) -> Result<BlockDag, CompileError> {
+        if self.source == DagSource::FrontEndMemo {
+            if let Some(fe) = self
+                .analyzed
+                .memoized_front_end(block.id.0, self.config, entry)
+            {
+                return Ok(BlockDag::Memo(fe));
+            }
+        }
+        Ok(BlockDag::Rebuilt(reml_planlint::rebuild_block_dag(
+            self.config,
+            block,
+            entry,
+        )?))
     }
 
     /// Interpret a block list, updating `env` in place. `record = false`

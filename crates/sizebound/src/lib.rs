@@ -44,7 +44,7 @@ pub mod interval;
 pub mod lint;
 pub mod transfer;
 
-pub use analysis::{analyze_bounds, AbsEnv, BlockBounds, ProgramBounds};
+pub use analysis::{analyze_bounds, AbsEnv, BlockBounds, DagSource, ProgramBounds};
 pub use annotate::annotate;
 pub use interval::{DimInterval, SizeBound};
 pub use lint::lint;
@@ -94,14 +94,16 @@ pub fn sound_min_cp_budget_mb(bounds: &ProgramBounds) -> f64 {
 }
 
 /// Convenience: analyze and return both the bounds and the sound minimum
-/// CP budget in one call (the optimizer's entry point).
+/// CP budget in one call (the optimizer's entry point), with block DAGs
+/// taken from `source`.
 pub fn analyze_with_min_budget(
     analyzed: &AnalyzedProgram,
     compiled: &CompiledProgram,
     config: &CompileConfig,
+    source: DagSource,
 ) -> Result<(ProgramBounds, f64), reml_compiler::CompileError> {
     let _s = reml_trace::span!("sizebound.analyze");
-    let bounds = analyze_bounds(analyzed, compiled, config)?;
+    let bounds = analysis::analyze_bounds_from(analyzed, compiled, config, source)?;
     let min = sound_min_cp_budget_mb(&bounds);
     Ok((bounds, min))
 }
