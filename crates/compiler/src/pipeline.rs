@@ -558,7 +558,11 @@ impl<'a> Walker<'a> {
                         self.fold_predicate(from, env)?.and_then(|v| v.as_f64()),
                         self.fold_predicate(to, env)?.and_then(|v| v.as_f64()),
                     ) {
-                        (Some(f), Some(t)) if t >= f => Some((t - f) as u64 + 1),
+                        // A count that is not finite or does not fit u64
+                        // is costed like any non-constant bound.
+                        (Some(f), Some(t)) if t >= f && (t - f) < u64::MAX as f64 => {
+                            ((t - f) as u64).checked_add(1)
+                        }
                         _ => None,
                     };
                     let from_rt = self.compile_predicate(block.id, from, env)?;
@@ -1030,6 +1034,23 @@ mod tests {
             _ => None,
         });
         assert_eq!(hint, Some(Some(10)));
+    }
+
+    #[test]
+    fn for_loop_hint_beyond_u64_is_unknown() {
+        let cfg = paper_cfg(48 * 1024, 512);
+        let hint = |range: &str| {
+            let src = format!("s = 0\nfor (i in {range}) {{ s = s + i }}\nprint(s)");
+            let compiled = compile_source(&src, &cfg).unwrap();
+            compiled.runtime.blocks.iter().find_map(|b| match b {
+                RtBlock::For {
+                    iterations_hint, ..
+                } => Some(*iterations_hint),
+                _ => None,
+            })
+        };
+        assert_eq!(hint("1:1e30"), Some(None));
+        assert_eq!(hint("1:1e12"), Some(Some(1_000_000_000_000)));
     }
 
     #[test]

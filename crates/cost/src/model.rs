@@ -9,8 +9,8 @@ use reml_runtime::program::{Predicate, RtBlock, RuntimeProgram};
 use reml_runtime::value::Operand;
 
 use crate::calibrate::CalibrationProfile;
-use crate::flops::instruction_flops;
 use crate::state::{BudgetRange, VarState, VarStates};
+use reml_runtime::flops::instruction_flops;
 
 /// Iteration count assumed for loops whose bound is unknown — "a constant
 /// which at least reflects that the body is executed multiple times"

@@ -1,11 +1,11 @@
 //! Bytecode-layer rules (PL040–PL047): static verification of lowered
 //! [`VmProgram`]s without executing them.
 //!
-//! The bytecode VM is trusted by everything above it — the differential
-//! oracle only exercises the plans the paper scripts happen to produce,
-//! and ROADMAP item 2 anticipates removing the tree interpreter from the
-//! hot path entirely. These rules restate the lowering's invariants as
-//! independently checkable properties of the flat program:
+//! The bytecode VM is the only CP executor and is trusted by everything
+//! above it — the differential oracles only exercise the programs they
+//! happen to generate or the paper scripts produce. These rules restate
+//! the lowering's invariants as independently checkable properties of the
+//! flat program:
 //!
 //! * **PL040** — pool/reference validity: every slot, constant, string,
 //!   fused-spec, MR-job, and metadata index resolves inside its pool.
@@ -1697,8 +1697,8 @@ fn match_mr_job(
     }
 }
 
-/// The tree executor's `record_observation` size fold, reimplemented:
-/// sum of operand and output size estimates, `None`-propagating.
+/// The lowering's memory-observation size fold, reimplemented: sum of
+/// operand and output size estimates, `None`-propagating.
 fn predicted_sum(cp: &CpInstruction) -> Option<u64> {
     let mut predicted = Some(0u64);
     for mc in cp.operand_mcs.iter().chain(std::iter::once(&cp.output_mc)) {

@@ -3,8 +3,11 @@
 //! The CP runtime "pins inputs and outputs into memory in order to prevent
 //! repeated deserialization" (§2.1). The pool holds matrix variables up to
 //! a byte capacity (the CP memory budget); when a new entry does not fit,
-//! least-recently-used unpinned entries are *evicted* to simulated local
-//! disk. Eviction/restore byte counters are the ground truth the
+//! least-recently-used entries are *evicted* to simulated local disk. The
+//! entry just written or restored is never the victim, and an evicted
+//! entry keeps its data (only the disk round trip is simulated), so an
+//! operand read by reference right after its restore stays valid without
+//! explicit pin state. Eviction/restore byte counters are the ground truth the
 //! discrete-event simulator charges extra IO time for — reproducing the
 //! paper's observation that buffer-pool evictions are a source of
 //! cost-model suboptimality (§5, "Sources of suboptimality").
@@ -19,11 +22,10 @@
 //! [`BufferPool::resolve_slot`]) to a stable [`SlotId`] — an index into a
 //! `Vec` — and every subsequent access is an array index instead of a
 //! string-keyed map lookup. The bytecode VM resolves all program
-//! variables to slots at load time and then runs name-free; the legacy
-//! name API (`get`/`put`/...) is a thin wrapper that does the hash lookup
-//! per call, preserving the tree interpreter's behaviour unchanged.
-//! Slots are never reused: removing a variable clears the slot's entry
-//! but keeps the `SlotId` valid for later re-`put`s.
+//! variables to slots at load time and then runs name-free; only
+//! inspection ([`BufferPool::peek`], [`BufferPool::variables`]) goes by
+//! name. Slots are never reused: removing a variable clears the slot's
+//! entry but keeps the `SlotId` valid for later re-`put`s.
 
 use std::collections::HashMap;
 
@@ -63,9 +65,6 @@ struct Entry {
     in_memory: bool,
     /// Differs from its HDFS representation.
     dirty: bool,
-    /// Pinned entries cannot be evicted (inputs/outputs of the currently
-    /// executing instruction).
-    pinned: bool,
     /// LRU clock.
     last_use: u64,
 }
@@ -107,7 +106,8 @@ impl BufferPool {
         self.capacity_bytes
     }
 
-    /// Resize the pool (AM migration to a container with more memory).
+    /// Resize the pool (§4.1 AM migration to a differently sized
+    /// container). Takes effect at the next write or restore.
     pub fn set_capacity_bytes(&mut self, capacity_bytes: u64) {
         self.capacity_bytes = capacity_bytes;
     }
@@ -168,7 +168,6 @@ impl BufferPool {
             data,
             in_memory: true,
             dirty,
-            pinned: false,
             last_use: self.clock,
         });
         self.make_room(Some(slot));
@@ -211,21 +210,6 @@ impl BufferPool {
         self.slots[slot.index()].entry.as_ref().map(|e| &e.data)
     }
 
-    /// Fetch by slot, restoring if evicted; clones the matrix (legacy
-    /// value semantics). Prefer `touch_slot` + `peek_slot` where a
-    /// reference suffices.
-    pub fn get_slot(&mut self, slot: SlotId) -> Option<Matrix> {
-        if !self.touch_slot(slot) {
-            return None;
-        }
-        self.peek_slot(slot).cloned()
-    }
-
-    /// Whether a slot currently holds a value.
-    pub fn contains_slot(&self, slot: SlotId) -> bool {
-        self.slots[slot.index()].entry.is_some()
-    }
-
     /// Whether a slot's value is dirty.
     pub fn is_dirty_slot(&self, slot: SlotId) -> Option<bool> {
         self.slots[slot.index()].entry.as_ref().map(|e| e.dirty)
@@ -247,99 +231,14 @@ impl BufferPool {
         Some(e.data)
     }
 
-    /// Occupied slots in arena order (resolution order).
-    pub fn occupied_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.entry.is_some())
-            .map(|(i, _)| SlotId(i as u32))
-    }
-
     // ------------------------------------------------------------------
-    // Legacy name API — one hash lookup per call, then the slot path.
+    // Inspection by name.
     // ------------------------------------------------------------------
 
-    /// Insert or replace a variable. New entries are dirty by default
-    /// (they were just produced in memory).
-    pub fn put(&mut self, name: impl Into<String>, data: Matrix) {
-        self.put_with_dirty(name, data, true);
-    }
-
-    /// Insert with an explicit dirty flag (false for data just read from
-    /// HDFS — its on-disk representation matches). Single entry-API pass:
-    /// one name allocation, one hash lookup, no re-hash in eviction.
-    pub fn put_with_dirty(&mut self, name: impl Into<String>, data: Matrix, dirty: bool) {
-        let slot = self.resolve_slot(name);
-        self.put_slot_with_dirty(slot, data, dirty);
-    }
-
-    /// Fetch a variable, restoring it from local disk if evicted. Returns
-    /// a clone of the matrix (callers treat matrices as immutable values).
-    pub fn get(&mut self, name: &str) -> Option<Matrix> {
-        let slot = self.slot_of(name)?;
-        self.get_slot(slot)
-    }
-
-    /// Variable characteristics without touching LRU state.
+    /// A variable's value by name, without touching LRU state.
     pub fn peek(&self, name: &str) -> Option<&Matrix> {
         let slot = self.slot_of(name)?;
         self.peek_slot(slot)
-    }
-
-    /// Whether a variable exists in the pool (memory or evicted).
-    pub fn contains(&self, name: &str) -> bool {
-        self.slot_of(name).is_some_and(|s| self.contains_slot(s))
-    }
-
-    /// Whether a variable is dirty (needs export before migration).
-    pub fn is_dirty(&self, name: &str) -> Option<bool> {
-        self.is_dirty_slot(self.slot_of(name)?)
-    }
-
-    /// Mark a variable clean (it was just exported to HDFS).
-    pub fn mark_clean(&mut self, name: &str) {
-        if let Some(slot) = self.slot_of(name) {
-            self.mark_clean_slot(slot);
-        }
-    }
-
-    /// Pin variables for the duration of an instruction.
-    pub fn pin(&mut self, names: &[&str]) {
-        for n in names {
-            if let Some(slot) = self.slot_of(n) {
-                if let Some(e) = self.slots[slot.index()].entry.as_mut() {
-                    e.pinned = true;
-                }
-            }
-        }
-    }
-
-    /// Unpin all variables.
-    pub fn unpin_all(&mut self) {
-        for s in &mut self.slots {
-            if let Some(e) = s.entry.as_mut() {
-                e.pinned = false;
-            }
-        }
-    }
-
-    /// Remove a variable entirely.
-    pub fn remove(&mut self, name: &str) -> Option<Matrix> {
-        let slot = self.slot_of(name)?;
-        self.remove_slot(slot)
-    }
-
-    /// Names of all dirty variables (the migration export set), sorted.
-    pub fn dirty_variables(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .slots
-            .iter()
-            .filter(|s| s.entry.as_ref().is_some_and(|e| e.dirty))
-            .map(|s| s.name.clone())
-            .collect();
-        names.sort();
-        names
     }
 
     /// All variable names, sorted.
@@ -359,18 +258,18 @@ impl BufferPool {
         self.stats
     }
 
-    /// Evict LRU unpinned entries until resident bytes fit the capacity.
+    /// Evict LRU entries until resident bytes fit the capacity.
     /// `protect` shields the entry just inserted or restored: it is the
     /// hottest value and evicting it immediately would thrash.
     fn make_room(&mut self, protect: Option<SlotId>) {
         while self.resident_bytes > self.capacity_bytes {
-            // Find LRU unpinned in-memory entry.
+            // Find the LRU in-memory entry.
             let victim = self
                 .slots
                 .iter()
                 .enumerate()
                 .filter_map(|(i, s)| s.entry.as_ref().map(|e| (i, e)))
-                .filter(|(i, e)| e.in_memory && !e.pinned && protect.map(SlotId::index) != Some(*i))
+                .filter(|(i, e)| e.in_memory && protect.map(SlotId::index) != Some(*i))
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(i, _)| i);
             match victim {
@@ -386,8 +285,9 @@ impl BufferPool {
                     reml_trace::count("pool.evictions", 1);
                     reml_trace::count("pool.bytes_evicted", bytes);
                 }
-                // Everything resident is pinned: allow temporary overshoot
-                // (SystemML likewise cannot evict pinned operands).
+                // Only the protected entry is resident: allow temporary
+                // overshoot (SystemML likewise cannot evict the operand
+                // it is about to use).
                 None => break,
             }
         }
@@ -403,79 +303,84 @@ mod tests {
         Matrix::constant(kb * 128, 1, 1.0)
     }
 
+    /// Write `data` under `name` (dirty), resolving the slot on first use.
+    fn put(pool: &mut BufferPool, name: &str, data: Matrix) -> SlotId {
+        let slot = pool.resolve_slot(name);
+        pool.put_slot(slot, data);
+        slot
+    }
+
     #[test]
     fn within_capacity_no_evictions() {
         let mut pool = BufferPool::new(10 * 1024);
-        pool.put("a", m_kb(4));
-        pool.put("b", m_kb(4));
+        let a = put(&mut pool, "a", m_kb(4));
+        put(&mut pool, "b", m_kb(4));
         assert_eq!(pool.stats().evictions, 0);
-        assert!(pool.get("a").is_some());
+        assert!(pool.touch_slot(a));
     }
 
     #[test]
     fn overflow_evicts_lru() {
         let mut pool = BufferPool::new(10 * 1024);
-        pool.put("a", m_kb(4));
-        pool.put("b", m_kb(4));
-        let _ = pool.get("a"); // a is now more recent than b
-        pool.put("c", m_kb(4)); // overflow: b is LRU victim
+        let a = put(&mut pool, "a", m_kb(4));
+        let b = put(&mut pool, "b", m_kb(4));
+        pool.touch_slot(a); // a is now more recent than b
+        put(&mut pool, "c", m_kb(4)); // overflow: b is LRU victim
         assert_eq!(pool.stats().evictions, 1);
         assert_eq!(pool.stats().bytes_evicted, 4 * 1024);
         // b still accessible, restored on demand.
-        assert!(pool.get("b").is_some());
+        assert!(pool.touch_slot(b));
         assert_eq!(pool.stats().restores, 1);
         assert_eq!(pool.stats().bytes_restored, 4 * 1024);
     }
 
     #[test]
-    fn pinned_entries_survive() {
-        let mut pool = BufferPool::new(10 * 1024);
-        pool.put("a", m_kb(4));
-        pool.put("b", m_kb(4));
-        pool.pin(&["a", "b"]);
-        pool.put("c", m_kb(4));
-        pool.pin(&["c"]);
-        // All pinned: overshoot allowed, no eviction of pinned entries.
+    fn oversized_entry_overshoots_instead_of_evicting_itself() {
+        let mut pool = BufferPool::new(4 * 1024);
+        let a = put(&mut pool, "a", m_kb(8));
+        assert_eq!(pool.stats().evictions, 0);
         assert!(pool.resident_bytes() > pool.capacity_bytes());
-        pool.unpin_all();
-        pool.put("d", m_kb(1));
+        // The next write evicts it.
+        put(&mut pool, "b", m_kb(1));
+        assert_eq!(pool.stats().evictions, 1);
         assert!(pool.resident_bytes() <= pool.capacity_bytes());
-        assert!(pool.stats().evictions >= 1);
+        assert!(pool.peek_slot(a).is_some(), "evicted data stays readable");
     }
 
     #[test]
     fn dirty_tracking() {
         let mut pool = BufferPool::new(1024 * 1024);
-        pool.put_with_dirty("X", m_kb(1), false); // read from HDFS
-        pool.put("g", m_kb(1)); // computed
-        assert_eq!(pool.is_dirty("X"), Some(false));
-        assert_eq!(pool.is_dirty("g"), Some(true));
-        assert_eq!(pool.dirty_variables(), vec!["g".to_string()]);
-        pool.mark_clean("g");
-        assert!(pool.dirty_variables().is_empty());
+        let x = pool.resolve_slot("X");
+        pool.put_slot_with_dirty(x, m_kb(1), false); // read from HDFS
+        let g = put(&mut pool, "g", m_kb(1)); // computed
+        assert_eq!(pool.is_dirty_slot(x), Some(false));
+        assert_eq!(pool.is_dirty_slot(g), Some(true));
+        pool.mark_clean_slot(g);
+        assert_eq!(pool.is_dirty_slot(g), Some(false));
     }
 
     #[test]
-    fn remove_and_contains() {
+    fn remove_clears_the_value() {
         let mut pool = BufferPool::new(1024);
-        pool.put("a", m_kb(1));
-        assert!(pool.contains("a"));
-        assert!(pool.remove("a").is_some());
-        assert!(!pool.contains("a"));
-        assert!(pool.get("a").is_none());
+        let a = put(&mut pool, "a", m_kb(1));
+        assert_eq!(pool.variables(), vec!["a".to_string()]);
+        assert!(pool.remove_slot(a).is_some());
+        assert!(pool.variables().is_empty());
+        assert!(pool.peek("a").is_none());
+        assert!(!pool.touch_slot(a));
     }
 
     #[test]
     fn grow_capacity_stops_thrashing() {
         let mut pool = BufferPool::new(4 * 1024);
-        pool.put("a", m_kb(4));
-        pool.put("b", m_kb(4));
+        let a = put(&mut pool, "a", m_kb(4));
+        let b = put(&mut pool, "b", m_kb(4));
         let evictions_before = pool.stats().evictions;
         assert!(evictions_before > 0);
         pool.set_capacity_bytes(64 * 1024);
-        let _ = pool.get("a");
-        let _ = pool.get("b");
-        pool.put("c", m_kb(4));
+        pool.touch_slot(a);
+        pool.touch_slot(b);
+        put(&mut pool, "c", m_kb(4));
         // No further evictions after the resize.
         assert_eq!(pool.stats().evictions, evictions_before);
     }
@@ -485,27 +390,24 @@ mod tests {
         let mut pool = BufferPool::new(1024 * 1024);
         let a = pool.resolve_slot("a");
         assert_eq!(pool.resolve_slot("a"), a, "resolution is stable");
-        assert!(!pool.contains_slot(a));
+        assert_eq!(pool.slot_of("a"), Some(a));
+        assert!(pool.peek_slot(a).is_none());
         pool.put_slot(a, m_kb(1));
-        assert!(pool.contains_slot(a));
         assert_eq!(pool.slot_name(a), "a");
         // Name and slot APIs see the same entry.
-        assert!(pool.contains("a"));
         assert_eq!(pool.peek("a").unwrap(), pool.peek_slot(a).unwrap());
         // Removal clears the value but keeps the slot valid.
         assert!(pool.remove_slot(a).is_some());
-        assert!(!pool.contains("a"));
+        assert!(pool.peek("a").is_none());
         pool.put_slot(a, m_kb(2));
-        assert_eq!(pool.get("a").unwrap().size_bytes(), 2 * 1024);
+        assert_eq!(pool.peek("a").unwrap().size_bytes(), 2 * 1024);
     }
 
     #[test]
     fn touch_restores_without_cloning() {
         let mut pool = BufferPool::new(10 * 1024);
-        let a = pool.resolve_slot("a");
-        let b = pool.resolve_slot("b");
-        pool.put_slot(a, m_kb(6));
-        pool.put_slot(b, m_kb(6)); // evicts a
+        let a = put(&mut pool, "a", m_kb(6));
+        put(&mut pool, "b", m_kb(6)); // evicts a
         assert_eq!(pool.stats().evictions, 1);
         assert!(pool.touch_slot(a)); // restore
         assert_eq!(pool.stats().restores, 1);
@@ -518,12 +420,12 @@ mod tests {
     #[test]
     fn resident_bytes_tracks_incrementally() {
         let mut pool = BufferPool::new(100 * 1024);
-        pool.put("a", m_kb(4));
-        pool.put("b", m_kb(2));
+        let a = put(&mut pool, "a", m_kb(4));
+        let b = put(&mut pool, "b", m_kb(2));
         assert_eq!(pool.resident_bytes(), 6 * 1024);
-        pool.put("a", m_kb(1)); // replace shrinks
+        pool.put_slot(a, m_kb(1)); // replace shrinks
         assert_eq!(pool.resident_bytes(), 3 * 1024);
-        pool.remove("b");
+        pool.remove_slot(b);
         assert_eq!(pool.resident_bytes(), 1024);
     }
 
@@ -533,8 +435,8 @@ mod tests {
         reml_trace::install(std::sync::Arc::clone(&rec));
         let before = reml_trace::metrics().counter("pool.evictions").get();
         let mut pool = BufferPool::new(4 * 1024);
-        pool.put("a", m_kb(4));
-        pool.put("b", m_kb(4)); // evicts a
+        put(&mut pool, "a", m_kb(4));
+        put(&mut pool, "b", m_kb(4)); // evicts a
         let after = reml_trace::metrics().counter("pool.evictions").get();
         reml_trace::uninstall();
         assert!(pool.stats().evictions >= 1);

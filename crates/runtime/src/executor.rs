@@ -1,29 +1,16 @@
-//! Semantic executor for runtime programs.
+//! Types shared by the CP executor ([`VmExecutor`]) and its callers:
+//! execution statistics, typed errors, the dynamic-recompilation hook,
+//! the §4.1 migration report, and the per-instruction memory
+//! observation rows behind the soundness audits and calibration.
 //!
-//! Executes CP instructions on real matrices through the buffer pool, and
-//! MR-job instructions by running their packed map/reduce operators
-//! in-process (value-equivalent to distributed execution). Timing of
-//! distributed execution is modeled by `reml-sim`; this executor answers
-//! "what values does the program compute" and produces the IO/eviction
-//! statistics the simulator converts to time.
+//! [`VmExecutor`]: crate::vm::VmExecutor
 
 use std::collections::HashMap;
 use std::fmt;
 
 use reml_matrix::MatrixCharacteristics;
-#[cfg(feature = "legacy-interpreter")]
-use reml_matrix::{BinaryOp, Matrix};
 
-use crate::bufferpool::BufferPool;
-use crate::hdfs::HdfsStore;
 use crate::instructions::Instruction;
-#[cfg(feature = "legacy-interpreter")]
-use crate::instructions::{CpInstruction, MrJobInstruction, OpCode};
-#[cfg(feature = "legacy-interpreter")]
-use crate::program::{Predicate, RtBlock, RuntimeProgram};
-#[cfg(feature = "legacy-interpreter")]
-use crate::value::Operand;
-use crate::value::ScalarValue;
 
 /// Execution statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -52,7 +39,8 @@ pub enum ExecError {
     Matrix(reml_matrix::MatrixError),
     /// A persistent read path is missing from the HDFS store.
     MissingInput(String),
-    /// Iteration guard: a while loop exceeded the hard safety bound.
+    /// Iteration guard: a `while` or `for` loop exceeded the hard safety
+    /// bound.
     RunawayLoop(usize),
     /// A produced matrix pushed the executor past its OOM limit — the
     /// runtime surface of the simulator's task-OOM fault: the caller
@@ -72,7 +60,7 @@ impl fmt::Display for ExecError {
             ExecError::TypeError(m) => write!(f, "type error: {m}"),
             ExecError::Matrix(e) => write!(f, "matrix error: {e}"),
             ExecError::MissingInput(p) => write!(f, "missing HDFS input '{p}'"),
-            ExecError::RunawayLoop(n) => write!(f, "while loop exceeded {n} iterations"),
+            ExecError::RunawayLoop(n) => write!(f, "loop exceeded {n} iterations"),
             ExecError::OutOfMemory {
                 needed_bytes,
                 limit_bytes,
@@ -118,10 +106,11 @@ impl RecompileHook for NoRecompile {
     }
 }
 
-/// Hard safety bound on while-loop iterations (scripts in this repo all
-/// converge or carry explicit maxiter bounds far below this). Shared with
-/// the bytecode VM so both interpreters abort identically.
-pub(crate) const MAX_WHILE_ITERATIONS: usize = 100_000;
+/// Hard safety bound on `while` and `for` iterations (scripts in this
+/// repo all converge or carry explicit maxiter bounds far below this).
+/// Also stops a `for` counter that stalls because `i + 1 == i` at large
+/// magnitudes.
+pub(crate) const MAX_LOOP_ITERATIONS: usize = 100_000;
 
 /// Report of one AM runtime migration (§4.1).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -134,32 +123,12 @@ pub struct MigrationReport {
     pub variables: u64,
 }
 
-/// The CP executor: buffer pool + scalar variables + HDFS store.
-pub struct Executor {
-    /// Matrix variables.
-    pub pool: BufferPool,
-    /// Scalar variables.
-    pub scalars: HashMap<String, ScalarValue>,
-    /// The HDFS stand-in.
-    pub hdfs: HdfsStore,
-    /// Accumulated statistics.
-    pub stats: ExecStats,
-    /// Hard OOM watermark: a computed matrix that would push resident
-    /// bytes past this limit aborts execution with
-    /// [`ExecError::OutOfMemory`] instead of spilling. `None` (default)
-    /// keeps the pure spill-to-disk behaviour.
-    #[cfg_attr(not(feature = "legacy-interpreter"), allow(dead_code))]
-    oom_limit_bytes: Option<u64>,
-    /// Opt-in memory-observation recording (the planlint soundness audit).
-    #[cfg_attr(not(feature = "legacy-interpreter"), allow(dead_code))]
-    observe_memory: bool,
-    observations: Vec<MemObservation>,
-}
-
 /// One comparison between the compiler's memory prediction for a CP
 /// instruction and the actual operator footprint at execution time.
-/// Recorded opt-in via [`Executor::enable_memory_observation`]; the
+/// Recorded opt-in via [`VmExecutor::enable_memory_observation`]; the
 /// planlint memory-soundness audit aggregates these per opcode.
+///
+/// [`VmExecutor::enable_memory_observation`]: crate::vm::VmExecutor::enable_memory_observation
 #[derive(Debug, Clone)]
 pub struct MemObservation {
     /// Opcode mnemonic (e.g. `ba+*`).
@@ -189,1093 +158,4 @@ pub struct MemObservation {
     /// the prediction, so composite `fused(...)` rows can be backfilled
     /// onto per-opcode calibration rows. Empty otherwise.
     pub constituents: Vec<crate::vm::ObservedConstituent>,
-}
-
-impl Executor {
-    /// New executor with the given CP budget (bytes) and staged inputs.
-    pub fn new(cp_budget_bytes: u64, hdfs: HdfsStore) -> Self {
-        Executor {
-            pool: BufferPool::new(cp_budget_bytes),
-            scalars: HashMap::new(),
-            hdfs,
-            stats: ExecStats::default(),
-            oom_limit_bytes: None,
-            observe_memory: false,
-            observations: Vec::new(),
-        }
-    }
-
-    /// Start recording one [`MemObservation`] per executed CP
-    /// instruction (the differential memory-soundness audit). Off by
-    /// default: observation clones no data but grows a vector.
-    pub fn enable_memory_observation(&mut self) {
-        self.observe_memory = true;
-    }
-
-    /// Drain the recorded memory observations.
-    pub fn take_memory_observations(&mut self) -> Vec<MemObservation> {
-        std::mem::take(&mut self.observations)
-    }
-
-    /// Builder: fail with [`ExecError::OutOfMemory`] when a computed
-    /// matrix would push resident bytes past `limit_bytes` (fault
-    /// injection / JVM-heap modeling; the buffer pool otherwise spills
-    /// silently).
-    pub fn with_oom_limit(mut self, limit_bytes: u64) -> Self {
-        self.oom_limit_bytes = Some(limit_bytes);
-        self
-    }
-
-    /// Execute a whole program with an optional recompilation hook.
-    #[cfg(feature = "legacy-interpreter")]
-    pub fn run(
-        &mut self,
-        program: &RuntimeProgram,
-        hook: &mut dyn RecompileHook,
-    ) -> Result<(), ExecError> {
-        for block in &program.blocks {
-            self.run_block(block, hook)?;
-        }
-        Ok(())
-    }
-
-    /// §4.1 AM runtime migration: materialize the current runtime state
-    /// — all *dirty* live variables are exported to HDFS (clean ones
-    /// already have an up-to-date HDFS representation) — then resume in a
-    /// "new container" with a buffer pool of the given capacity. Safe at
-    /// program-block boundaries because all operators are stateless and
-    /// intermediates are bound to logical variable names; scalars travel
-    /// with the (tiny) serialized position state.
-    pub fn migrate(&mut self, new_capacity_bytes: u64) -> MigrationReport {
-        let mut report = MigrationReport::default();
-        let names = self.pool.variables();
-        report.variables = names.len() as u64;
-        // Export dirty variables (the §4.1 "write all dirty variables").
-        for name in &names {
-            if self.pool.is_dirty(name) == Some(true) {
-                if let Some(m) = self.pool.peek(name).cloned() {
-                    report.dirty_exported += 1;
-                    report.dirty_bytes += m.size_bytes();
-                    self.hdfs.write(format!("am_state/{name}"), m);
-                    self.pool.mark_clean(name);
-                }
-            } else if let Some(m) = self.pool.peek(name).cloned() {
-                // Clean variables are staged without IO accounting: their
-                // HDFS representation is already current.
-                self.hdfs.stage(format!("am_state/{name}"), m);
-            }
-        }
-        // "Start" the new container: a fresh pool at the new capacity,
-        // restoring the variable stack from the materialized state.
-        let mut new_pool = BufferPool::new(new_capacity_bytes);
-        for name in &names {
-            if let Some(m) = self.hdfs.peek(&format!("am_state/{name}")).cloned() {
-                new_pool.put_with_dirty(name, m, false);
-            }
-        }
-        self.pool = new_pool;
-        report
-    }
-
-    /// Characteristics of all live matrix variables (input to dynamic
-    /// recompilation).
-    pub fn live_matrix_characteristics(&self) -> HashMap<String, MatrixCharacteristics> {
-        self.pool
-            .variables()
-            .into_iter()
-            .filter_map(|name| {
-                let mc = self.pool.peek(&name)?.characteristics();
-                Some((name, mc))
-            })
-            .collect()
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn run_block(
-        &mut self,
-        block: &RtBlock,
-        hook: &mut dyn RecompileHook,
-    ) -> Result<(), ExecError> {
-        match block {
-            RtBlock::Generic {
-                source,
-                instructions,
-                requires_recompile,
-            } => {
-                let plan;
-                let instructions = if *requires_recompile {
-                    match hook.recompile(*source, &self.live_matrix_characteristics()) {
-                        Some(new_plan) => {
-                            self.stats.recompilations += 1;
-                            plan = new_plan;
-                            &plan
-                        }
-                        None => instructions,
-                    }
-                } else {
-                    instructions
-                };
-                for instr in instructions {
-                    self.execute(instr)?;
-                }
-                Ok(())
-            }
-            RtBlock::If {
-                pred,
-                then_blocks,
-                else_blocks,
-                ..
-            } => {
-                if self.eval_predicate(pred)? {
-                    for b in then_blocks {
-                        self.run_block(b, hook)?;
-                    }
-                } else {
-                    for b in else_blocks {
-                        self.run_block(b, hook)?;
-                    }
-                }
-                Ok(())
-            }
-            RtBlock::While { pred, body, .. } => {
-                let mut iters = 0usize;
-                while self.eval_predicate(pred)? {
-                    iters += 1;
-                    if iters > MAX_WHILE_ITERATIONS {
-                        return Err(ExecError::RunawayLoop(MAX_WHILE_ITERATIONS));
-                    }
-                    self.stats.loop_iterations += 1;
-                    for b in body {
-                        self.run_block(b, hook)?;
-                    }
-                }
-                Ok(())
-            }
-            RtBlock::For {
-                var,
-                from,
-                to,
-                body,
-                ..
-            } => {
-                let from_v = self.eval_predicate_num(from)?;
-                let to_v = self.eval_predicate_num(to)?;
-                let mut i = from_v;
-                while i <= to_v {
-                    self.scalars.insert(var.clone(), ScalarValue::Num(i));
-                    self.stats.loop_iterations += 1;
-                    for b in body {
-                        self.run_block(b, hook)?;
-                    }
-                    i += 1.0;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn eval_predicate(&mut self, pred: &Predicate) -> Result<bool, ExecError> {
-        for instr in &pred.instructions {
-            self.execute(instr)?;
-        }
-        let v = self
-            .scalars
-            .get(&pred.result_var)
-            .ok_or_else(|| ExecError::UnknownVariable(pred.result_var.clone()))?;
-        v.as_bool().ok_or_else(|| {
-            ExecError::TypeError(format!("predicate '{}' not boolean", pred.result_var))
-        })
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn eval_predicate_num(&mut self, pred: &Predicate) -> Result<f64, ExecError> {
-        for instr in &pred.instructions {
-            self.execute(instr)?;
-        }
-        let v = self
-            .scalars
-            .get(&pred.result_var)
-            .ok_or_else(|| ExecError::UnknownVariable(pred.result_var.clone()))?;
-        v.as_f64()
-            .ok_or_else(|| ExecError::TypeError(format!("'{}' not numeric", pred.result_var)))
-    }
-
-    /// Execute one instruction. When tracing is enabled each CP
-    /// instruction's wall time feeds the per-opcode histograms
-    /// (`exec.op.<mnemonic>`) behind `profile_report`'s attribution
-    /// table; under a deterministic (sim-clock) recorder the wall-time
-    /// measurement is skipped so traces stay bit-reproducible.
-    #[cfg(feature = "legacy-interpreter")]
-    pub fn execute(&mut self, instr: &Instruction) -> Result<(), ExecError> {
-        match instr {
-            Instruction::Cp(cp) => {
-                self.stats.cp_instructions += 1;
-                let trace_timed = reml_trace::enabled() && !reml_trace::deterministic();
-                let timed = trace_timed || self.observe_memory;
-                let t0 = timed.then(std::time::Instant::now);
-                self.execute_op(&cp.opcode, &cp.operands, cp.output.as_deref())?;
-                let wall_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64).unwrap_or(0);
-                if trace_timed {
-                    reml_trace::metrics()
-                        .histogram(&format!("exec.op.{}", cp.opcode.mnemonic()))
-                        .observe(wall_ns / 1_000);
-                }
-                if self.observe_memory {
-                    self.record_observation(cp, wall_ns);
-                }
-                Ok(())
-            }
-            Instruction::MrJob(job) => {
-                self.stats.mr_jobs += 1;
-                reml_trace::count("exec.mr_jobs", 1);
-                let timed = reml_trace::enabled() && !reml_trace::deterministic();
-                let t0 = timed.then(std::time::Instant::now);
-                let result = self.execute_mr_job(job);
-                if let Some(t0) = t0 {
-                    reml_trace::metrics()
-                        .histogram("exec.op.mr_job")
-                        .observe(t0.elapsed().as_micros() as u64);
-                }
-                result
-            }
-        }
-    }
-
-    /// Record predicted vs. actual footprint of a just-executed CP
-    /// instruction. Prediction sums the compile-time operand/output
-    /// characteristics (the same quantities `memest` budgets against);
-    /// actual sums the live pool sizes of the distinct variables touched.
-    #[cfg(feature = "legacy-interpreter")]
-    fn record_observation(&mut self, cp: &CpInstruction, wall_ns: u64) {
-        let mut predicted: Option<u64> = Some(0);
-        for mc in cp.operand_mcs.iter().chain(std::iter::once(&cp.output_mc)) {
-            predicted = match (predicted, mc.estimated_size_bytes()) {
-                (Some(acc), Some(b)) => Some(acc + b),
-                _ => None,
-            };
-        }
-        let mut touched: Vec<&str> = cp
-            .operands
-            .iter()
-            .filter_map(|o| match o {
-                Operand::Var(name) => Some(name.as_str()),
-                Operand::Lit(_) => None,
-            })
-            .chain(cp.output.as_deref())
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let actual_bytes = touched
-            .iter()
-            .filter_map(|name| self.pool.peek(name).map(Matrix::size_bytes))
-            .sum();
-        if reml_trace::enabled() {
-            let mut fields: Vec<(&'static str, reml_trace::FieldValue)> = vec![
-                ("opcode", reml_trace::FieldValue::Str(cp.opcode.mnemonic())),
-                ("actual_bytes", reml_trace::FieldValue::U64(actual_bytes)),
-                (
-                    "resident_bytes",
-                    reml_trace::FieldValue::U64(self.pool.resident_bytes()),
-                ),
-            ];
-            if let Some(p) = predicted {
-                fields.push(("predicted_bytes", reml_trace::FieldValue::U64(p)));
-            }
-            if let Some(b) = cp.bound_bytes {
-                fields.push(("bound_bytes", reml_trace::FieldValue::U64(b)));
-            }
-            reml_trace::event("exec.mem_observation", &fields);
-        }
-        self.observations.push(MemObservation {
-            opcode: cp.opcode.mnemonic(),
-            predicted_bytes: predicted,
-            actual_bytes,
-            resident_bytes: self.pool.resident_bytes(),
-            bound_bytes: cp.bound_bytes,
-            wall_ns,
-            predicted_flops: crate::flops::predicted_flops(
-                &cp.opcode,
-                &cp.operand_mcs,
-                &cp.output_mc,
-            ),
-            constituents: Vec::new(),
-        });
-    }
-
-    /// Execute an MR job value-equivalently: run map operators then reduce
-    /// operators in order. Job outputs are also exported to HDFS (MR
-    /// intermediates are exchanged through HDFS, §2.1).
-    #[cfg(feature = "legacy-interpreter")]
-    fn execute_mr_job(&mut self, job: &MrJobInstruction) -> Result<(), ExecError> {
-        for op in job.mappers.iter().chain(job.reducers.iter()) {
-            self.execute_op(&op.opcode, &op.operands, op.output.as_deref())?;
-        }
-        for (name, _) in &job.outputs {
-            let m = self
-                .pool
-                .get(name)
-                .ok_or_else(|| ExecError::UnknownVariable(name.clone()))?;
-            self.hdfs.write(format!("tmp/{name}"), m);
-            self.pool.mark_clean(name);
-        }
-        Ok(())
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn matrix_operand(&mut self, op: &Operand) -> Result<Matrix, ExecError> {
-        match op {
-            Operand::Var(name) => {
-                if let Some(m) = self.pool.get(name) {
-                    Ok(m)
-                } else if let Some(s) = self.scalars.get(name) {
-                    // Scalar used in matrix position: 1x1.
-                    let v = s
-                        .as_f64()
-                        .ok_or_else(|| ExecError::TypeError(format!("'{name}' not numeric")))?;
-                    Ok(Matrix::constant(1, 1, v))
-                } else {
-                    Err(ExecError::UnknownVariable(name.clone()))
-                }
-            }
-            Operand::Lit(v) => {
-                let f = v
-                    .as_f64()
-                    .ok_or_else(|| ExecError::TypeError("literal not numeric".into()))?;
-                Ok(Matrix::constant(1, 1, f))
-            }
-        }
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn scalar_operand(&mut self, op: &Operand) -> Result<ScalarValue, ExecError> {
-        match op {
-            Operand::Var(name) => {
-                if let Some(s) = self.scalars.get(name) {
-                    Ok(s.clone())
-                } else if let Some(m) = self.pool.get(name) {
-                    let v = m.as_scalar().map_err(ExecError::Matrix)?;
-                    Ok(ScalarValue::Num(v))
-                } else {
-                    Err(ExecError::UnknownVariable(name.clone()))
-                }
-            }
-            Operand::Lit(v) => Ok(v.clone()),
-        }
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn scalar_num(&mut self, op: &Operand) -> Result<f64, ExecError> {
-        self.scalar_operand(op)?
-            .as_f64()
-            .ok_or_else(|| ExecError::TypeError("expected numeric scalar".into()))
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn put_matrix(&mut self, name: Option<&str>, m: Matrix) -> Result<(), ExecError> {
-        if let Some(name) = name {
-            if let Some(limit) = self.oom_limit_bytes {
-                let needed = self.pool.resident_bytes().saturating_add(m.size_bytes());
-                if needed > limit {
-                    reml_trace::event!("exec.oom", needed_bytes = needed, limit_bytes = limit);
-                    return Err(ExecError::OutOfMemory {
-                        needed_bytes: needed,
-                        limit_bytes: limit,
-                    });
-                }
-            }
-            self.scalars.remove(name);
-            self.pool.put(name, m);
-        }
-        Ok(())
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn put_scalar(&mut self, name: Option<&str>, v: ScalarValue) {
-        if let Some(name) = name {
-            self.pool.remove(name);
-            self.scalars.insert(name.to_string(), v);
-        }
-    }
-
-    #[cfg(feature = "legacy-interpreter")]
-    fn execute_op(
-        &mut self,
-        opcode: &OpCode,
-        operands: &[Operand],
-        output: Option<&str>,
-    ) -> Result<(), ExecError> {
-        match opcode {
-            OpCode::PersistentRead { path } => {
-                let m = self
-                    .hdfs
-                    .read(path)
-                    .ok_or_else(|| ExecError::MissingInput(path.clone()))?;
-                if let Some(name) = output {
-                    self.scalars.remove(name);
-                    self.pool.put_with_dirty(name, m, false);
-                }
-                Ok(())
-            }
-            OpCode::PersistentWrite { path } => {
-                let m = self.matrix_operand(&operands[0])?;
-                self.hdfs.write(path.clone(), m);
-                if let Some(name) = operands[0].as_var() {
-                    self.pool.mark_clean(name);
-                }
-                Ok(())
-            }
-            OpCode::DataGenConst => {
-                let v = self.scalar_num(&operands[0])?;
-                let rows = self.scalar_num(&operands[1])? as usize;
-                let cols = self.scalar_num(&operands[2])? as usize;
-                self.put_matrix(output, Matrix::constant(rows, cols, v))?;
-                Ok(())
-            }
-            OpCode::DataGenSeq => {
-                let from = self.scalar_num(&operands[0])?;
-                let to = self.scalar_num(&operands[1])?;
-                let by = if operands.len() > 2 {
-                    self.scalar_num(&operands[2])?
-                } else if from <= to {
-                    1.0
-                } else {
-                    -1.0
-                };
-                self.put_matrix(
-                    output,
-                    Matrix::Dense(reml_matrix::generate::seq_by(from, to, by)),
-                )?;
-                Ok(())
-            }
-            OpCode::DataGenRand => {
-                let rows = self.scalar_num(&operands[0])? as usize;
-                let cols = self.scalar_num(&operands[1])? as usize;
-                let sparsity = self.scalar_num(&operands[2])?;
-                let seed = self.scalar_num(&operands[3])? as u64;
-                let m = if sparsity >= 1.0 {
-                    Matrix::Dense(reml_matrix::generate::rand_dense(
-                        rows, cols, 0.0, 1.0, seed,
-                    ))
-                } else {
-                    Matrix::from_sparse_auto(reml_matrix::generate::rand_sparse(
-                        rows, cols, sparsity, 0.0, 1.0, seed,
-                    ))
-                };
-                self.put_matrix(output, m)?;
-                Ok(())
-            }
-            OpCode::MatMult => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.matmult(&b)?)?;
-                Ok(())
-            }
-            OpCode::Tsmm => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_matrix(output, a.tsmm())?;
-                Ok(())
-            }
-            OpCode::MatMultTransLeft => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.transpose().matmult(&b)?)?;
-                Ok(())
-            }
-            OpCode::MmChain => {
-                // t(X) %*% (X %*% v): operands [X, v].
-                let x = self.matrix_operand(&operands[0])?;
-                let v = self.matrix_operand(&operands[1])?;
-                let xv = x.matmult(&v)?;
-                self.put_matrix(output, x.transpose().matmult(&xv)?)?;
-                Ok(())
-            }
-            OpCode::Solve => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.solve(&b)?)?;
-                Ok(())
-            }
-            OpCode::Transpose => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_matrix(output, a.transpose())?;
-                Ok(())
-            }
-            OpCode::Diag => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_matrix(output, a.diag())?;
-                Ok(())
-            }
-            OpCode::BinaryMM(op) => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                // 1x1 matrices degrade to scalar ops per DML semantics.
-                let out = if a.rows() == 1 && a.cols() == 1 && (b.rows() > 1 || b.cols() > 1) {
-                    b.scalar_binary(*op, a.get(0, 0))
-                } else if b.rows() == 1 && b.cols() == 1 && (a.rows() > 1 || a.cols() > 1) {
-                    a.binary_scalar(*op, b.get(0, 0))
-                } else {
-                    a.binary(*op, &b)?
-                };
-                self.put_matrix(output, out)?;
-                Ok(())
-            }
-            OpCode::BinaryMS(op) => {
-                let a = self.matrix_operand(&operands[0])?;
-                let s = self.scalar_num(&operands[1])?;
-                self.put_matrix(output, a.binary_scalar(*op, s))?;
-                Ok(())
-            }
-            OpCode::BinarySM(op) => {
-                let s = self.scalar_num(&operands[0])?;
-                let a = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.scalar_binary(*op, s))?;
-                Ok(())
-            }
-            OpCode::BinarySS(op) => {
-                let a = self.scalar_operand(&operands[0])?;
-                let b = self.scalar_operand(&operands[1])?;
-                let result = match op {
-                    BinaryOp::And | BinaryOp::Or => {
-                        let (x, y) = (
-                            a.as_bool().ok_or_else(|| {
-                                ExecError::TypeError("non-boolean in logical op".into())
-                            })?,
-                            b.as_bool().ok_or_else(|| {
-                                ExecError::TypeError("non-boolean in logical op".into())
-                            })?,
-                        );
-                        ScalarValue::Bool(if *op == BinaryOp::And { x && y } else { x || y })
-                    }
-                    BinaryOp::Eq
-                    | BinaryOp::NotEq
-                    | BinaryOp::Less
-                    | BinaryOp::LessEq
-                    | BinaryOp::Greater
-                    | BinaryOp::GreaterEq => {
-                        let (x, y) = (
-                            a.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                            b.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                        );
-                        ScalarValue::Bool(op.apply(x, y) != 0.0)
-                    }
-                    _ => {
-                        let (x, y) = (
-                            a.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                            b.as_f64()
-                                .ok_or_else(|| ExecError::TypeError("non-numeric".into()))?,
-                        );
-                        ScalarValue::Num(op.apply(x, y))
-                    }
-                };
-                self.put_scalar(output, result);
-                Ok(())
-            }
-            OpCode::UnaryM(op) => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_matrix(output, a.unary(*op))?;
-                Ok(())
-            }
-            OpCode::UnaryS(op) => {
-                let v = self.scalar_num(&operands[0])?;
-                self.put_scalar(output, ScalarValue::Num(op.apply(v)));
-                Ok(())
-            }
-            OpCode::Agg(op) => {
-                let a = self.matrix_operand(&operands[0])?;
-                let out = a.aggregate(*op);
-                if op.is_full_reduction() {
-                    let v = out.as_scalar().map_err(ExecError::Matrix)?;
-                    self.put_scalar(output, ScalarValue::Num(v));
-                } else {
-                    self.put_matrix(output, out)?;
-                }
-                Ok(())
-            }
-            OpCode::TableSeq => {
-                let y = self.matrix_operand(&operands[0])?;
-                let t = reml_matrix::generate::table_seq(&y.to_dense())?;
-                self.put_matrix(output, t)?;
-                Ok(())
-            }
-            OpCode::RightIndex => {
-                let a = self.matrix_operand(&operands[0])?;
-                let (rl, rh, cl, ch) = self.index_bounds(&operands[1..5], &a)?;
-                self.put_matrix(output, a.slice(rl, rh, cl, ch)?)?;
-                Ok(())
-            }
-            OpCode::LeftIndex => {
-                let target = self.matrix_operand(&operands[0])?;
-                let value = self.matrix_operand(&operands[1])?;
-                let (rl, rh, cl, ch) = self.index_bounds(&operands[2..6], &target)?;
-                let mut d = target.to_dense();
-                let vd = value.to_dense();
-                for (ri, r) in (rl..=rh).enumerate() {
-                    for (ci, c) in (cl..=ch).enumerate() {
-                        let v = if vd.rows() == 1 && vd.cols() == 1 {
-                            vd.get(0, 0)
-                        } else {
-                            vd.get(ri, ci)
-                        };
-                        d.set(r, c, v);
-                    }
-                }
-                self.put_matrix(output, Matrix::from_dense_auto(d))?;
-                Ok(())
-            }
-            OpCode::Append => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.cbind(&b)?)?;
-                Ok(())
-            }
-            OpCode::AppendR => {
-                let a = self.matrix_operand(&operands[0])?;
-                let b = self.matrix_operand(&operands[1])?;
-                self.put_matrix(output, a.rbind(&b)?)?;
-                Ok(())
-            }
-            OpCode::NRow => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_scalar(output, ScalarValue::Num(a.rows() as f64));
-                Ok(())
-            }
-            OpCode::NCol => {
-                let a = self.matrix_operand(&operands[0])?;
-                self.put_scalar(output, ScalarValue::Num(a.cols() as f64));
-                Ok(())
-            }
-            OpCode::CastScalar => {
-                let a = self.matrix_operand(&operands[0])?;
-                let v = a.as_scalar().map_err(ExecError::Matrix)?;
-                self.put_scalar(output, ScalarValue::Num(v));
-                Ok(())
-            }
-            OpCode::CastMatrix => {
-                let v = self.scalar_num(&operands[0])?;
-                self.put_matrix(output, Matrix::constant(1, 1, v))?;
-                Ok(())
-            }
-            OpCode::Assign => {
-                match &operands[0] {
-                    Operand::Var(name) => {
-                        if let Some(s) = self.scalars.get(name).cloned() {
-                            self.put_scalar(output, s);
-                        } else if let Some(m) = self.pool.get(name) {
-                            self.put_matrix(output, m)?;
-                        } else {
-                            return Err(ExecError::UnknownVariable(name.clone()));
-                        }
-                    }
-                    Operand::Lit(v) => self.put_scalar(output, v.clone()),
-                }
-                Ok(())
-            }
-            OpCode::Concat => {
-                let a = self.scalar_operand(&operands[0])?;
-                let b = self.scalar_operand(&operands[1])?;
-                self.put_scalar(
-                    output,
-                    ScalarValue::Str(format!("{}{}", a.render(), b.render())),
-                );
-                Ok(())
-            }
-            OpCode::Print => {
-                let v = self.scalar_operand(&operands[0])?;
-                self.stats.printed.push(v.render());
-                Ok(())
-            }
-            OpCode::RmVar => {
-                for op in operands {
-                    if let Operand::Var(name) = op {
-                        self.pool.remove(name);
-                        self.scalars.remove(name);
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Resolve 1-based inclusive index bounds, with 0 meaning "open" (the
-    /// compiler encodes `X[, 1:k]` row bounds as 0/0 = full range).
-    #[cfg(feature = "legacy-interpreter")]
-    fn index_bounds(
-        &mut self,
-        ops: &[Operand],
-        m: &Matrix,
-    ) -> Result<(usize, usize, usize, usize), ExecError> {
-        let rl = self.scalar_num(&ops[0])? as usize;
-        let rh = self.scalar_num(&ops[1])? as usize;
-        let cl = self.scalar_num(&ops[2])? as usize;
-        let ch = self.scalar_num(&ops[3])? as usize;
-        let rl = if rl == 0 { 1 } else { rl };
-        let rh = if rh == 0 { m.rows() } else { rh };
-        let cl = if cl == 0 { 1 } else { cl };
-        let ch = if ch == 0 { m.cols() } else { ch };
-        Ok((rl - 1, rh - 1, cl - 1, ch - 1))
-    }
-}
-
-#[cfg(all(test, feature = "legacy-interpreter"))]
-mod tests {
-    use super::*;
-    use crate::instructions::CpInstruction;
-    use reml_matrix::AggOp;
-
-    fn cp(opcode: OpCode, operands: Vec<Operand>, output: Option<&str>) -> Instruction {
-        Instruction::Cp(CpInstruction {
-            opcode,
-            operands,
-            output: output.map(str::to_string),
-            operand_mcs: vec![],
-            output_mc: MatrixCharacteristics::unknown(),
-            bound_bytes: None,
-        })
-    }
-
-    fn exec() -> Executor {
-        Executor::new(1 << 30, HdfsStore::new())
-    }
-
-    #[test]
-    fn oom_limit_aborts_instead_of_spilling() {
-        // 100x100 doubles = 80 KB output against a 10 KB limit.
-        let mut e = exec().with_oom_limit(10 * 1024);
-        let err = e
-            .execute(&cp(
-                OpCode::DataGenConst,
-                vec![Operand::num(1.0), Operand::num(100.0), Operand::num(100.0)],
-                Some("A"),
-            ))
-            .unwrap_err();
-        let ExecError::OutOfMemory {
-            needed_bytes,
-            limit_bytes,
-        } = err
-        else {
-            panic!("expected OutOfMemory, got {err:?}");
-        };
-        assert!(needed_bytes > limit_bytes);
-        assert_eq!(limit_bytes, 10 * 1024);
-        // Without the limit the same program spills and succeeds.
-        let mut e = exec();
-        e.execute(&cp(
-            OpCode::DataGenConst,
-            vec![Operand::num(1.0), Operand::num(100.0), Operand::num(100.0)],
-            Some("A"),
-        ))
-        .unwrap();
-        assert!(e.pool.contains("A"));
-    }
-
-    #[test]
-    fn datagen_and_aggregate() {
-        let mut e = exec();
-        e.execute(&cp(
-            OpCode::DataGenConst,
-            vec![Operand::num(2.0), Operand::num(3.0), Operand::num(4.0)],
-            Some("A"),
-        ))
-        .unwrap();
-        e.execute(&cp(
-            OpCode::Agg(AggOp::Sum),
-            vec![Operand::var("A")],
-            Some("s"),
-        ))
-        .unwrap();
-        assert_eq!(e.scalars["s"], ScalarValue::Num(24.0));
-    }
-
-    #[test]
-    fn persistent_read_write() {
-        let mut e = exec();
-        e.hdfs.stage("in", Matrix::constant(2, 2, 5.0));
-        e.execute(&cp(
-            OpCode::PersistentRead { path: "in".into() },
-            vec![],
-            Some("X"),
-        ))
-        .unwrap();
-        assert_eq!(e.pool.is_dirty("X"), Some(false));
-        e.execute(&cp(
-            OpCode::PersistentWrite { path: "out".into() },
-            vec![Operand::var("X")],
-            None,
-        ))
-        .unwrap();
-        assert!(e.hdfs.exists("out"));
-    }
-
-    #[test]
-    fn missing_input_errors() {
-        let mut e = exec();
-        let err = e
-            .execute(&cp(
-                OpCode::PersistentRead {
-                    path: "gone".into(),
-                },
-                vec![],
-                Some("X"),
-            ))
-            .unwrap_err();
-        assert!(matches!(err, ExecError::MissingInput(_)));
-    }
-
-    #[test]
-    fn matmult_pipeline() {
-        let mut e = exec();
-        e.hdfs.stage(
-            "X",
-            Matrix::Dense(
-                reml_matrix::DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap(),
-            ),
-        );
-        e.execute(&cp(
-            OpCode::PersistentRead { path: "X".into() },
-            vec![],
-            Some("X"),
-        ))
-        .unwrap();
-        e.execute(&cp(OpCode::Transpose, vec![Operand::var("X")], Some("Xt")))
-            .unwrap();
-        e.execute(&cp(
-            OpCode::MatMult,
-            vec![Operand::var("Xt"), Operand::var("X")],
-            Some("G"),
-        ))
-        .unwrap();
-        let g = e.pool.get("G").unwrap();
-        assert_eq!(g.get(0, 0), 10.0);
-        assert_eq!(g.get(1, 1), 20.0);
-    }
-
-    #[test]
-    fn mmchain_equals_two_step() {
-        let mut e = exec();
-        e.pool.put("X", Matrix::constant(4, 3, 2.0));
-        e.pool.put("v", Matrix::constant(3, 1, 1.0));
-        e.execute(&cp(
-            OpCode::MmChain,
-            vec![Operand::var("X"), Operand::var("v")],
-            Some("out"),
-        ))
-        .unwrap();
-        // X v = 6 per row; t(X) * (6...) = 4 * 2 * 6 = 48 per entry.
-        assert_eq!(e.pool.get("out").unwrap().get(0, 0), 48.0);
-    }
-
-    #[test]
-    fn scalar_arithmetic_and_logic() {
-        let mut e = exec();
-        e.execute(&cp(
-            OpCode::BinarySS(BinaryOp::Add),
-            vec![Operand::num(2.0), Operand::num(3.0)],
-            Some("a"),
-        ))
-        .unwrap();
-        assert_eq!(e.scalars["a"], ScalarValue::Num(5.0));
-        e.execute(&cp(
-            OpCode::BinarySS(BinaryOp::Less),
-            vec![Operand::var("a"), Operand::num(10.0)],
-            Some("c"),
-        ))
-        .unwrap();
-        assert_eq!(e.scalars["c"], ScalarValue::Bool(true));
-        e.execute(&cp(
-            OpCode::BinarySS(BinaryOp::And),
-            vec![Operand::var("c"), Operand::Lit(ScalarValue::Bool(false))],
-            Some("d"),
-        ))
-        .unwrap();
-        assert_eq!(e.scalars["d"], ScalarValue::Bool(false));
-    }
-
-    #[test]
-    fn one_by_one_matrix_degrades_to_scalar_in_mm() {
-        let mut e = exec();
-        e.pool.put("v", Matrix::constant(3, 1, 2.0));
-        e.pool.put("s", Matrix::constant(1, 1, 10.0));
-        e.execute(&cp(
-            OpCode::BinaryMM(BinaryOp::Mul),
-            vec![Operand::var("v"), Operand::var("s")],
-            Some("out"),
-        ))
-        .unwrap();
-        assert_eq!(e.pool.get("out").unwrap().get(2, 0), 20.0);
-    }
-
-    #[test]
-    fn right_and_left_indexing() {
-        let mut e = exec();
-        e.pool.put(
-            "P",
-            Matrix::Dense(
-                reml_matrix::DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap(),
-            ),
-        );
-        // P[, 1:2]
-        e.execute(&cp(
-            OpCode::RightIndex,
-            vec![
-                Operand::var("P"),
-                Operand::num(0.0),
-                Operand::num(0.0),
-                Operand::num(1.0),
-                Operand::num(2.0),
-            ],
-            Some("Q"),
-        ))
-        .unwrap();
-        let q = e.pool.get("Q").unwrap();
-        assert_eq!(q.cols(), 2);
-        assert_eq!(q.get(1, 1), 5.0);
-        // P[1, 1] = 99
-        e.execute(&cp(
-            OpCode::LeftIndex,
-            vec![
-                Operand::var("P"),
-                Operand::num(99.0),
-                Operand::num(1.0),
-                Operand::num(1.0),
-                Operand::num(1.0),
-                Operand::num(1.0),
-            ],
-            Some("P"),
-        ))
-        .unwrap();
-        assert_eq!(e.pool.get("P").unwrap().get(0, 0), 99.0);
-    }
-
-    #[test]
-    fn while_loop_program() {
-        use crate::program::{Predicate, RtBlock};
-        let mut e = exec();
-        e.scalars.insert("i".into(), ScalarValue::Num(0.0));
-        let pred = Predicate {
-            instructions: vec![cp(
-                OpCode::BinarySS(BinaryOp::Less),
-                vec![Operand::var("i"), Operand::num(5.0)],
-                Some("__p"),
-            )],
-            result_var: "__p".into(),
-        };
-        let body = RtBlock::Generic {
-            source: reml_lang::BlockId(1),
-            instructions: vec![cp(
-                OpCode::BinarySS(BinaryOp::Add),
-                vec![Operand::var("i"), Operand::num(1.0)],
-                Some("i"),
-            )],
-            requires_recompile: false,
-        };
-        let prog = RuntimeProgram {
-            blocks: vec![RtBlock::While {
-                source: reml_lang::BlockId(0),
-                pred,
-                body: vec![body],
-                max_iter_hint: None,
-            }],
-            ..Default::default()
-        };
-        e.run(&prog, &mut NoRecompile).unwrap();
-        assert_eq!(e.scalars["i"], ScalarValue::Num(5.0));
-        assert_eq!(e.stats.loop_iterations, 5);
-    }
-
-    #[test]
-    fn recompile_hook_invoked_and_replaces_plan() {
-        struct Hook;
-        impl RecompileHook for Hook {
-            fn recompile(
-                &mut self,
-                _source: reml_lang::BlockId,
-                _live: &HashMap<String, MatrixCharacteristics>,
-            ) -> Option<Vec<Instruction>> {
-                Some(vec![Instruction::Cp(CpInstruction {
-                    opcode: OpCode::Assign,
-                    operands: vec![Operand::num(42.0)],
-                    output: Some("x".into()),
-                    operand_mcs: vec![],
-                    output_mc: MatrixCharacteristics::scalar(),
-                    bound_bytes: None,
-                })])
-            }
-        }
-        let mut e = exec();
-        let prog = RuntimeProgram {
-            blocks: vec![RtBlock::Generic {
-                source: reml_lang::BlockId(0),
-                instructions: vec![cp(OpCode::Assign, vec![Operand::num(1.0)], Some("x"))],
-                requires_recompile: true,
-            }],
-            ..Default::default()
-        };
-        e.run(&prog, &mut Hook).unwrap();
-        assert_eq!(e.scalars["x"], ScalarValue::Num(42.0));
-        assert_eq!(e.stats.recompilations, 1);
-    }
-
-    #[test]
-    fn mr_job_executes_and_exports() {
-        use crate::instructions::{MrLocation, MrOperator};
-        let mut e = exec();
-        e.pool.put("X", Matrix::constant(4, 2, 1.0));
-        e.pool.put("v", Matrix::constant(2, 1, 3.0));
-        let job = MrJobInstruction {
-            hdfs_inputs: vec![("X".into(), MatrixCharacteristics::dense(4, 2))],
-            broadcast_inputs: vec![("v".into(), MatrixCharacteristics::dense(2, 1))],
-            mappers: vec![MrOperator {
-                opcode: OpCode::MatMult,
-                operands: vec![Operand::var("X"), Operand::var("v")],
-                output: Some("q".into()),
-                operand_mcs: vec![],
-                output_mc: MatrixCharacteristics::dense(4, 1),
-                location: MrLocation::Map,
-                task_mem_mb: 0.0,
-            }],
-            reducers: vec![],
-            outputs: vec![("q".into(), MatrixCharacteristics::dense(4, 1))],
-            shuffle: vec![],
-        };
-        e.execute(&Instruction::MrJob(job)).unwrap();
-        assert_eq!(e.pool.get("q").unwrap().get(0, 0), 6.0);
-        assert!(e.hdfs.exists("tmp/q"));
-        assert_eq!(e.stats.mr_jobs, 1);
-    }
-
-    #[test]
-    fn print_and_concat() {
-        let mut e = exec();
-        e.execute(&cp(
-            OpCode::Concat,
-            vec![
-                Operand::Lit(ScalarValue::Str("iter=".into())),
-                Operand::num(3.0),
-            ],
-            Some("msg"),
-        ))
-        .unwrap();
-        e.execute(&cp(OpCode::Print, vec![Operand::var("msg")], None))
-            .unwrap();
-        assert_eq!(e.stats.printed, vec!["iter=3".to_string()]);
-    }
-
-    #[test]
-    fn rmvar_cleans_up() {
-        let mut e = exec();
-        e.pool.put("a", Matrix::constant(1, 1, 1.0));
-        e.scalars.insert("b".into(), ScalarValue::Num(2.0));
-        e.execute(&cp(
-            OpCode::RmVar,
-            vec![Operand::var("a"), Operand::var("b")],
-            None,
-        ))
-        .unwrap();
-        assert!(!e.pool.contains("a"));
-        assert!(!e.scalars.contains_key("b"));
-    }
 }

@@ -1,7 +1,6 @@
 //! The register VM: executes [`VmProgram`]s over a slot-indexed frame.
 //!
-//! Value-equivalent to the tree interpreter in [`crate::executor`] (the
-//! differential oracle), but with the per-instruction costs removed:
+//! The per-instruction costs of a name-resolving interpreter are removed:
 //!
 //! * operand fetch is `touch_slot` + `peek_slot` — an array index and an
 //!   LRU bump instead of a name hash plus a full matrix clone;
@@ -11,9 +10,9 @@
 //! * fused elementwise chains run over one flat buffer with a single
 //!   output allocation (see [`FusedSpec`]).
 //!
-//! Divergences from the tree interpreter are deliberate and limited to
-//! pool *residency*: fused intermediates never enter the buffer pool, so
-//! pool statistics and LRU order can differ under fusion. Printed output,
+//! Fused and unfused lowerings of one program differ only in pool
+//! *residency*: fused intermediates never enter the buffer pool, so pool
+//! statistics and LRU order can differ under fusion. Printed output,
 //! scalar values, matrix values (bit-for-bit, including the dense/sparse
 //! representation choice), HDFS contents, and `ExecStats` all match.
 
@@ -22,7 +21,9 @@ use std::collections::HashMap;
 use reml_matrix::{BinaryOp, DenseMatrix, Matrix, MatrixCharacteristics};
 
 use crate::bufferpool::{BufferPool, SlotId};
-use crate::executor::{ExecError, ExecStats, MemObservation, RecompileHook, MAX_WHILE_ITERATIONS};
+use crate::executor::{
+    ExecError, ExecStats, MemObservation, MigrationReport, RecompileHook, MAX_LOOP_ITERATIONS,
+};
 use crate::hdfs::HdfsStore;
 use crate::value::ScalarValue;
 use crate::vm::lower::lower_fragment;
@@ -68,22 +69,23 @@ struct ResolvedStep {
 }
 
 /// The bytecode VM executor. One executor runs one program (plus any
-/// recompiled fragments); construct it like [`Executor`](crate::executor::Executor)
-/// with a CP budget and staged HDFS inputs.
+/// recompiled fragments, or consecutive pieces of one program around a
+/// [`migrate`](VmExecutor::migrate)); construct it with a CP budget and
+/// staged HDFS inputs.
 pub struct VmExecutor {
     /// Matrix variables (slot-addressed).
     pub pool: BufferPool,
     /// The HDFS stand-in.
     pub hdfs: HdfsStore,
-    /// Accumulated statistics (same accounting as the tree interpreter).
+    /// Accumulated statistics.
     pub stats: ExecStats,
     /// Scalar frame indexed by symbol id.
     frame: Vec<Option<ScalarValue>>,
     /// Preresolved pool slot per symbol id.
     pool_slots: Vec<SlotId>,
-    /// Name-keyed scalar overflow: values seeded before the frame is
-    /// bound, or spilled when a recompiled fragment rebinds the frame
-    /// extension.
+    /// Name-keyed scalar overflow: values spilled when the frame is
+    /// rebound — by a later `run` (e.g. the program suffix after a
+    /// migration) or by a recompiled fragment reusing the frame extension.
     pending_scalars: HashMap<String, ScalarValue>,
     oom_limit_bytes: Option<u64>,
     observe_memory: bool,
@@ -126,11 +128,6 @@ impl VmExecutor {
     /// Drain the recorded memory observations.
     pub fn take_memory_observations(&mut self) -> Vec<MemObservation> {
         std::mem::take(&mut self.observations)
-    }
-
-    /// Seed a scalar variable before `run` (e.g. loop counters in tests).
-    pub fn set_scalar(&mut self, name: &str, v: ScalarValue) {
-        self.pending_scalars.insert(name.to_string(), v);
     }
 
     /// Current value of a scalar variable, if any.
@@ -205,6 +202,50 @@ impl VmExecutor {
             .collect()
     }
 
+    /// §4.1 AM runtime migration: materialize the current runtime state
+    /// — all *dirty* live variables are exported to HDFS (clean ones
+    /// already have an up-to-date HDFS representation) — then resume in a
+    /// "new container" whose buffer pool has the given capacity. Safe at
+    /// program-block boundaries because all operators are stateless and
+    /// intermediates are bound to logical variable names; scalars travel
+    /// with the (tiny) serialized position state.
+    ///
+    /// The pool is resized in place, so slot ids resolved by an earlier
+    /// `run` stay valid; every variable is reloaded clean and resident in
+    /// name order, exactly as a fresh container restoring the
+    /// materialized state would. Pool statistics keep accumulating.
+    pub fn migrate(&mut self, new_capacity_bytes: u64) -> MigrationReport {
+        let names = self.pool.variables();
+        let mut report = MigrationReport {
+            variables: names.len() as u64,
+            ..MigrationReport::default()
+        };
+        // Materialize: empty the pool, exporting dirty state.
+        let mut state = Vec::with_capacity(names.len());
+        for name in &names {
+            let slot = self.pool.slot_of(name).expect("listed variable");
+            let dirty = self.pool.is_dirty_slot(slot) == Some(true);
+            let m = self.pool.remove_slot(slot).expect("listed variable");
+            if dirty {
+                // The §4.1 "write all dirty variables".
+                report.dirty_exported += 1;
+                report.dirty_bytes += m.size_bytes();
+                self.hdfs.write(format!("am_state/{name}"), m.clone());
+            } else {
+                // Clean variables are staged without IO accounting: their
+                // HDFS representation is already current.
+                self.hdfs.stage(format!("am_state/{name}"), m.clone());
+            }
+            state.push((slot, m));
+        }
+        // "Start" the new container and restore the variable stack.
+        self.pool.set_capacity_bytes(new_capacity_bytes);
+        for (slot, m) in state {
+            self.pool.put_slot_with_dirty(slot, m, false);
+        }
+        report
+    }
+
     fn run_block(
         &mut self,
         t: &Tables<'_>,
@@ -254,8 +295,8 @@ impl VmExecutor {
                 let mut iters = 0usize;
                 while self.eval_predicate(t, pred)? {
                     iters += 1;
-                    if iters > MAX_WHILE_ITERATIONS {
-                        return Err(ExecError::RunawayLoop(MAX_WHILE_ITERATIONS));
+                    if iters > MAX_LOOP_ITERATIONS {
+                        return Err(ExecError::RunawayLoop(MAX_LOOP_ITERATIONS));
                     }
                     self.stats.loop_iterations += 1;
                     for b in body {
@@ -273,7 +314,12 @@ impl VmExecutor {
                 let from_v = self.eval_predicate_num(t, from)?;
                 let to_v = self.eval_predicate_num(t, to)?;
                 let mut i = from_v;
+                let mut iters = 0usize;
                 while i <= to_v {
+                    iters += 1;
+                    if iters > MAX_LOOP_ITERATIONS {
+                        return Err(ExecError::RunawayLoop(MAX_LOOP_ITERATIONS));
+                    }
                     self.put_scalar(Some(*var), ScalarValue::Num(i));
                     self.stats.loop_iterations += 1;
                     for b in body {
@@ -422,8 +468,8 @@ impl VmExecutor {
     }
 
     /// Phase 1 of a matrix-operand fetch: bump LRU / restore the slot (the
-    /// accounting side effects of the tree executor's `pool.get`), and
-    /// verify the variable exists as a matrix or scalar.
+    /// pool's accounting side effects of a read), and verify the variable
+    /// exists as a matrix or scalar.
     fn touch_arg(&mut self, t: &Tables<'_>, arg: Arg) -> Result<(), ExecError> {
         if let Arg::Slot(s) = arg {
             if self.pool.touch_slot(self.slot(s)) || self.frame[s as usize].is_some() {
@@ -510,7 +556,7 @@ impl VmExecutor {
     }
 
     // ------------------------------------------------------------------
-    // Opcode semantics (mirrors Executor::execute_op arm for arm)
+    // Opcode semantics
     // ------------------------------------------------------------------
 
     fn execute_core(&mut self, t: &Tables<'_>, instr: &VmInstr) -> Result<(), ExecError> {
@@ -890,8 +936,8 @@ impl VmExecutor {
     ///
     /// Anything else (sparse or missing inputs, runtime shapes diverging
     /// from compile-time, literals in matrix position) falls back to a
-    /// stepwise path using the exact tree-interpreter operator semantics
-    /// with chain intermediates kept as locals instead of pool entries.
+    /// stepwise path using the exact unfused operator semantics with
+    /// chain intermediates kept as locals instead of pool entries.
     fn execute_fused(
         &mut self,
         t: &Tables<'_>,
@@ -1172,5 +1218,297 @@ fn flush_zeros(buf: &mut [f64]) {
         if *v == 0.0 {
             *v = 0.0;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::NoRecompile;
+    use crate::instructions::{
+        CpInstruction, Instruction, MrJobInstruction, MrLocation, MrOperator, OpCode,
+    };
+    use crate::program::{RtBlock, RuntimeProgram};
+    use crate::value::Operand;
+    use crate::vm::VmLowerOptions;
+    use reml_lang::BlockId;
+    use reml_matrix::AggOp;
+
+    fn cp(opcode: OpCode, operands: Vec<Operand>, output: Option<&str>) -> Instruction {
+        Instruction::Cp(CpInstruction {
+            opcode,
+            operands,
+            output: output.map(str::to_string),
+            operand_mcs: vec![],
+            output_mc: MatrixCharacteristics::unknown(),
+            bound_bytes: None,
+        })
+    }
+
+    fn block(instructions: Vec<Instruction>, requires_recompile: bool) -> RtBlock {
+        RtBlock::Generic {
+            source: BlockId(0),
+            instructions,
+            requires_recompile,
+        }
+    }
+
+    fn constant(v: f64, rows: usize, cols: usize, out: &str) -> Instruction {
+        cp(
+            OpCode::DataGenConst,
+            vec![
+                Operand::num(v),
+                Operand::num(rows as f64),
+                Operand::num(cols as f64),
+            ],
+            Some(out),
+        )
+    }
+
+    fn read(path: &str, out: &str) -> Instruction {
+        cp(
+            OpCode::PersistentRead { path: path.into() },
+            vec![],
+            Some(out),
+        )
+    }
+
+    /// Lower `blocks` unfused and run them on `exec`.
+    fn run_blocks(
+        exec: &mut VmExecutor,
+        blocks: Vec<RtBlock>,
+        hook: &mut dyn RecompileHook,
+    ) -> Result<(), ExecError> {
+        let program = RuntimeProgram {
+            blocks,
+            ..Default::default()
+        };
+        exec.run(&program.lower_vm(VmLowerOptions { fuse: false }), hook)
+    }
+
+    fn run(exec: &mut VmExecutor, instructions: Vec<Instruction>) -> Result<(), ExecError> {
+        run_blocks(exec, vec![block(instructions, false)], &mut NoRecompile)
+    }
+
+    fn exec() -> VmExecutor {
+        VmExecutor::new(1 << 30, HdfsStore::new())
+    }
+
+    fn matrix(exec: &VmExecutor, name: &str) -> Matrix {
+        exec.pool.peek(name).expect("matrix variable").clone()
+    }
+
+    #[test]
+    fn oom_limit_aborts_instead_of_spilling() {
+        // 100x100 doubles = 80 KB output against a 10 KB limit.
+        let mut e = exec().with_oom_limit(10 * 1024);
+        let err = run(&mut e, vec![constant(1.0, 100, 100, "A")]).unwrap_err();
+        let ExecError::OutOfMemory {
+            needed_bytes,
+            limit_bytes,
+        } = err
+        else {
+            panic!("expected OutOfMemory, got {err:?}");
+        };
+        assert!(needed_bytes > limit_bytes);
+        assert_eq!(limit_bytes, 10 * 1024);
+        // Without the limit the same program spills and succeeds.
+        let mut e = VmExecutor::new(10 * 1024, HdfsStore::new());
+        run(&mut e, vec![constant(1.0, 100, 100, "A")]).unwrap();
+        assert!(e.pool.peek("A").is_some());
+    }
+
+    #[test]
+    fn missing_input_is_a_typed_error() {
+        let err = run(&mut exec(), vec![read("gone", "X")]).unwrap_err();
+        assert_eq!(err, ExecError::MissingInput("gone".into()));
+    }
+
+    #[test]
+    fn persistent_read_is_clean_and_write_exports() {
+        let mut hdfs = HdfsStore::new();
+        hdfs.stage("in", Matrix::constant(2, 2, 5.0));
+        let mut e = VmExecutor::new(1 << 30, hdfs);
+        run(&mut e, vec![read("in", "X"), constant(1.0, 2, 2, "Y")]).unwrap();
+        let dirty = |e: &VmExecutor, name: &str| e.pool.is_dirty_slot(e.pool.slot_of(name)?);
+        assert_eq!(dirty(&e, "X"), Some(false), "read from HDFS: clean");
+        assert_eq!(dirty(&e, "Y"), Some(true), "computed: dirty");
+        run(
+            &mut e,
+            vec![cp(
+                OpCode::PersistentWrite { path: "out".into() },
+                vec![Operand::var("Y")],
+                None,
+            )],
+        )
+        .unwrap();
+        assert!(e.hdfs.exists("out"));
+        assert_eq!(dirty(&e, "Y"), Some(false), "exported: clean");
+    }
+
+    #[test]
+    fn recompile_hook_replaces_the_plan() {
+        struct Hook;
+        impl RecompileHook for Hook {
+            fn recompile(
+                &mut self,
+                _source: BlockId,
+                _live: &HashMap<String, MatrixCharacteristics>,
+            ) -> Option<Vec<Instruction>> {
+                Some(vec![cp(
+                    OpCode::Assign,
+                    vec![Operand::num(42.0)],
+                    Some("x"),
+                )])
+            }
+        }
+        let plan = vec![cp(OpCode::Assign, vec![Operand::num(1.0)], Some("x"))];
+        let mut e = exec();
+        run_blocks(&mut e, vec![block(plan.clone(), true)], &mut Hook).unwrap();
+        assert_eq!(e.scalar("x"), Some(ScalarValue::Num(42.0)));
+        assert_eq!(e.stats.recompilations, 1);
+        // Blocks not marked for recompilation never consult the hook.
+        let mut e = exec();
+        run_blocks(&mut e, vec![block(plan, false)], &mut Hook).unwrap();
+        assert_eq!(e.scalar("x"), Some(ScalarValue::Num(1.0)));
+        assert_eq!(e.stats.recompilations, 0);
+    }
+
+    #[test]
+    fn mr_job_executes_and_exports_to_tmp() {
+        let job = MrJobInstruction {
+            hdfs_inputs: vec![("X".into(), MatrixCharacteristics::dense(4, 2))],
+            broadcast_inputs: vec![("v".into(), MatrixCharacteristics::dense(2, 1))],
+            mappers: vec![MrOperator {
+                opcode: OpCode::MatMult,
+                operands: vec![Operand::var("X"), Operand::var("v")],
+                output: Some("q".into()),
+                operand_mcs: vec![],
+                output_mc: MatrixCharacteristics::dense(4, 1),
+                location: MrLocation::Map,
+                task_mem_mb: 0.0,
+            }],
+            reducers: vec![],
+            outputs: vec![("q".into(), MatrixCharacteristics::dense(4, 1))],
+            shuffle: vec![],
+        };
+        let mut e = exec();
+        run(
+            &mut e,
+            vec![
+                constant(1.0, 4, 2, "X"),
+                constant(3.0, 2, 1, "v"),
+                Instruction::MrJob(job),
+            ],
+        )
+        .unwrap();
+        assert_eq!(matrix(&e, "q").get(0, 0), 6.0);
+        assert_eq!(e.hdfs.peek("tmp/q"), Some(&matrix(&e, "q")));
+        assert_eq!(e.stats.mr_jobs, 1);
+        assert_eq!(e.stats.cp_instructions, 2);
+    }
+
+    #[test]
+    fn rmvar_removes_matrices_and_scalars() {
+        let mut e = exec();
+        run(
+            &mut e,
+            vec![
+                constant(1.0, 1, 1, "a"),
+                cp(OpCode::Assign, vec![Operand::num(2.0)], Some("b")),
+                cp(
+                    OpCode::RmVar,
+                    vec![Operand::var("a"), Operand::var("b")],
+                    None,
+                ),
+            ],
+        )
+        .unwrap();
+        assert!(e.pool.peek("a").is_none());
+        assert_eq!(e.scalar("b"), None);
+    }
+
+    #[test]
+    fn print_renders_concatenation() {
+        let mut e = exec();
+        run(
+            &mut e,
+            vec![
+                cp(
+                    OpCode::Concat,
+                    vec![
+                        Operand::Lit(ScalarValue::Str("iter=".into())),
+                        Operand::num(3.0),
+                    ],
+                    Some("msg"),
+                ),
+                cp(OpCode::Print, vec![Operand::var("msg")], None),
+            ],
+        )
+        .unwrap();
+        assert_eq!(e.stats.printed, vec!["iter=3".to_string()]);
+    }
+
+    #[test]
+    fn one_by_one_matrix_degrades_to_scalar() {
+        let mut e = exec();
+        run(
+            &mut e,
+            vec![
+                constant(2.0, 3, 1, "v"),
+                constant(10.0, 1, 1, "s"),
+                cp(
+                    OpCode::BinaryMM(BinaryOp::Mul),
+                    vec![Operand::var("v"), Operand::var("s")],
+                    Some("vs"),
+                ),
+                cp(
+                    OpCode::BinaryMM(BinaryOp::Sub),
+                    vec![Operand::var("s"), Operand::var("v")],
+                    Some("sv"),
+                ),
+                cp(OpCode::Agg(AggOp::Sum), vec![Operand::var("s")], Some("t")),
+            ],
+        )
+        .unwrap();
+        let (vs, sv) = (matrix(&e, "vs"), matrix(&e, "sv"));
+        assert_eq!((vs.rows(), vs.cols(), vs.get(2, 0)), (3, 1, 20.0));
+        assert_eq!((sv.rows(), sv.cols(), sv.get(2, 0)), (3, 1, 8.0));
+        assert_eq!(e.scalar("t"), Some(ScalarValue::Num(10.0)));
+    }
+
+    #[test]
+    fn right_and_left_indexing() {
+        let mut hdfs = HdfsStore::new();
+        hdfs.stage(
+            "P",
+            Matrix::Dense(DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap()),
+        );
+        let mut e = VmExecutor::new(1 << 30, hdfs);
+        let n = Operand::num;
+        run(
+            &mut e,
+            vec![
+                read("P", "P"),
+                // Q = P[, 2:3] (0 = open bound)
+                cp(
+                    OpCode::RightIndex,
+                    vec![Operand::var("P"), n(0.0), n(0.0), n(2.0), n(3.0)],
+                    Some("Q"),
+                ),
+                // P[1, 1] = 99
+                cp(
+                    OpCode::LeftIndex,
+                    vec![Operand::var("P"), n(99.0), n(1.0), n(1.0), n(1.0), n(1.0)],
+                    Some("P"),
+                ),
+            ],
+        )
+        .unwrap();
+        let q = matrix(&e, "Q");
+        assert_eq!((q.rows(), q.cols()), (2, 2));
+        assert_eq!((q.get(0, 0), q.get(1, 1)), (2.0, 6.0));
+        let p = matrix(&e, "P");
+        assert_eq!((p.get(0, 0), p.get(0, 1), p.get(1, 2)), (99.0, 2.0, 6.0));
     }
 }

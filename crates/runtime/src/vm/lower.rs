@@ -304,8 +304,7 @@ impl Lowerer {
 
     /// Lower an MR operator like a CP instruction (same opcode
     /// vocabulary). Its meta is never read on the hot path — MR operators
-    /// are neither individually timed nor observed, matching the tree
-    /// executor.
+    /// are neither individually timed nor observed; the job is.
     fn lower_mr_op(&mut self, op: &MrOperator) -> VmInstr {
         let vop = self.lower_opcode(&op.opcode);
         let args: Box<[Arg]> = op.operands.iter().map(|o| self.lower_arg(o)).collect();
@@ -369,9 +368,9 @@ impl Lowerer {
         }
     }
 
-    /// The tree executor's `record_observation` fold, precomputed: sum of
-    /// operand and output size estimates (None-propagating) plus the
-    /// sorted distinct touched-variable set.
+    /// The memory-observation fold, precomputed: sum of operand and
+    /// output size estimates (None-propagating) plus the sorted distinct
+    /// touched-variable set.
     fn cp_meta(&self, cp: &CpInstruction) -> InstrMeta {
         let mnemonic = cp.opcode.mnemonic();
         InstrMeta {

@@ -1,13 +1,13 @@
 //! # Bytecode VM: flat programs, preresolved operands, fused kernels
 //!
-//! The tree interpreter in [`crate::executor`] resolves every operand by
-//! name on every execution — a hash lookup plus a defensive full-matrix
-//! clone per operand, and a freshly formatted metric name per instruction.
-//! Inside the iterative loops that dominate the paper's workloads (linear
-//! regression, L2-SVM, GLM...) that overhead is paid thousands of times
-//! for identical resolutions.
+//! The CP executor. Resolving every operand by name on every execution —
+//! a hash lookup plus a defensive full-matrix clone per operand, and a
+//! freshly formatted metric name per instruction — would be paid
+//! thousands of times for identical resolutions inside the iterative
+//! loops that dominate the paper's workloads (linear regression, L2-SVM,
+//! GLM...).
 //!
-//! This module lowers [`RuntimeProgram`](crate::program::RuntimeProgram)
+//! This module instead lowers [`RuntimeProgram`](crate::program::RuntimeProgram)
 //! trees once into a flat [`VmProgram`]:
 //!
 //! * every variable name is interned into a symbol table at lowering;
@@ -23,11 +23,11 @@
 //!   operations over single-use temporaries into one fused instruction
 //!   executed over a single flat buffer with one output allocation.
 //!
-//! The tree interpreter remains the *differential oracle*: the VM is
-//! bit-identical on values (printed output, scalars, matrices including
-//! their dense/sparse representation, HDFS contents) and `ExecStats`,
-//! which `tests/vm_differential.rs` and the fusion property test enforce
-//! on the paper's scripts and on randomly generated DML.
+//! Three oracles check the VM: an AST-walking reference interpreter in
+//! the test suite that bypasses every compiler layer (values within a
+//! relative tolerance on generated DML), the unfused VM against the fused
+//! VM (bit-identical on every observable, `tests/vm_differential.rs` and
+//! `tests/vm_fusion_prop.rs`), and the PL040–PL047 bytecode lint.
 
 pub mod exec;
 mod fuse;

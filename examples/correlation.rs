@@ -8,7 +8,7 @@
 use reml::compiler::MrHeapAssignment;
 use reml::prelude::*;
 use reml::runtime::executor::NoRecompile;
-use reml::runtime::{Executor, HdfsStore, ScalarValue};
+use reml::runtime::{HdfsStore, ScalarValue, VmExecutor, VmLowerOptions};
 use reml::scripts::{DataShape, Scenario};
 
 const SCRIPT: &str = r#"
@@ -39,8 +39,12 @@ fn main() {
     let compiled = compile_source(SCRIPT, &cfg).expect("compiles");
     let mut hdfs = HdfsStore::new();
     hdfs.stage("X", reml::matrix::Matrix::Dense(x.clone()));
-    let mut exec = Executor::new(1 << 30, hdfs);
-    exec.run(&compiled.runtime, &mut NoRecompile).expect("runs");
+    let mut exec = VmExecutor::new(1 << 30, hdfs);
+    exec.run(
+        &compiled.runtime.lower_vm(VmLowerOptions::default()),
+        &mut NoRecompile,
+    )
+    .expect("runs");
     let r = exec.hdfs.peek("model").expect("R written");
 
     println!("== correlation matrix ({cols}x{cols}) on {rows} samples ==");

@@ -1,5 +1,6 @@
 //! End-to-end *real* execution: train linear regression models with the
-//! actual CP executor on generated data and verify the recovered weights.
+//! actual CP executor (the bytecode VM) on generated data and verify the
+//! recovered weights.
 //!
 //! The big §5.1 scenarios exist as metadata for the optimizer and the
 //! simulator; this example shows the same compiled programs computing
@@ -10,7 +11,7 @@
 
 use reml::prelude::*;
 use reml::runtime::executor::NoRecompile;
-use reml::runtime::{Executor, HdfsStore};
+use reml::runtime::{HdfsStore, VmExecutor, VmLowerOptions};
 use reml::scripts::data::{generate_dataset, LabelKind};
 
 fn main() {
@@ -34,8 +35,12 @@ fn main() {
         let mut hdfs = HdfsStore::new();
         hdfs.stage("X", data.x.clone());
         hdfs.stage("y", data.y.clone());
-        let mut exec = Executor::new(4 * 1024 * 1024 * 1024, hdfs);
-        exec.run(&compiled.runtime, &mut NoRecompile).expect("runs");
+        let mut exec = VmExecutor::new(4 * 1024 * 1024 * 1024, hdfs);
+        exec.run(
+            &compiled.runtime.lower_vm(VmLowerOptions::default()),
+            &mut NoRecompile,
+        )
+        .expect("runs");
 
         for line in &exec.stats.printed {
             println!("  {line}");

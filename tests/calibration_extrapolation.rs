@@ -17,7 +17,7 @@ use reml::calibrate::{evaluate, fit_profile, samples_from_observations};
 use reml::compiler::MrHeapAssignment;
 use reml::prelude::*;
 use reml::runtime::executor::NoRecompile;
-use reml::runtime::{Executor, HdfsStore, MemObservation};
+use reml::runtime::{HdfsStore, MemObservation, VmExecutor, VmLowerOptions};
 
 use dml_gen::generate_program_scaled;
 
@@ -48,9 +48,11 @@ fn observe_at_scale(scale: usize) -> Vec<MemObservation> {
     let compiled = compile(&analyzed, &cfg)
         .unwrap_or_else(|e| panic!("generated program must compile: {e}\n{source}"));
 
-    let mut exec = Executor::new(4 << 30, HdfsStore::new());
+    // Unfused, so every CP instruction records its own observation.
+    let program = compiled.runtime.lower_vm(VmLowerOptions { fuse: false });
+    let mut exec = VmExecutor::new(4 << 30, HdfsStore::new());
     exec.enable_memory_observation();
-    exec.run(&compiled.runtime, &mut NoRecompile)
+    exec.run(&program, &mut NoRecompile)
         .unwrap_or_else(|e| panic!("generated program must execute: {e}\n{source}"));
     exec.take_memory_observations()
 }

@@ -1,23 +1,24 @@
 //! Differential testing of the whole compilation chain.
 //!
 //! Random well-shaped straight-line DML programs are (a) parsed and
-//! interpreted directly over the AST with an independent reference
-//! interpreter, and (b) compiled through the full HOP→LOP→runtime chain
-//! and executed by the CP executor. The final model outputs must agree to
-//! numerical tolerance for every seed — this catches miscompilations in
-//! CSE, rewrites, operator selection, instruction ordering, and executor
-//! kernels in one net.
+//! interpreted directly over the AST with the independent reference
+//! interpreter (`common/reference.rs`), and (b) compiled through the full
+//! HOP→LOP→runtime→bytecode chain and executed by the VM. The final model
+//! outputs must agree to numerical tolerance for every seed — this
+//! catches miscompilations in CSE, rewrites, operator selection,
+//! instruction ordering, lowering, and VM opcode arms in one net.
 
-use std::collections::HashMap;
+#[path = "common/reference.rs"]
+#[allow(dead_code)]
+mod reference;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use reml::lang::ast::{BinOp, Expr, Statement};
-use reml::matrix::{AggOp, BinaryOp, Matrix, UnaryOp};
+use reml::matrix::Matrix;
 use reml::prelude::*;
 use reml::runtime::executor::NoRecompile;
-use reml::runtime::{Executor, HdfsStore};
+use reml::runtime::{HdfsStore, VmExecutor, VmLowerOptions};
 
 // ---------------------------------------------------------------------
 // Random program generation (source text + shape bookkeeping).
@@ -231,148 +232,15 @@ impl ProgGen {
     }
 }
 
-// ---------------------------------------------------------------------
-// Reference interpreter: walks the AST directly on matrix values.
-// ---------------------------------------------------------------------
-
-#[derive(Clone)]
-enum Val {
-    M(Matrix),
-    S(f64),
-}
-
-fn eval(expr: &Expr, env: &HashMap<String, Val>) -> Val {
-    match expr {
-        Expr::Num(v) => Val::S(*v),
-        Expr::Ident(n) => env.get(n).expect("defined").clone(),
-        Expr::Param(_) => panic!("params resolved before interpretation"),
-        Expr::Binary { op, lhs, rhs, .. } => {
-            let l = eval(lhs, env);
-            let r = eval(rhs, env);
-            let bop = match op {
-                BinOp::Add => BinaryOp::Add,
-                BinOp::Sub => BinaryOp::Sub,
-                BinOp::Mul => BinaryOp::Mul,
-                BinOp::Div => BinaryOp::Div,
-                BinOp::MatMul => {
-                    let (Val::M(a), Val::M(b)) = (l, r) else {
-                        panic!("matmul on scalars")
-                    };
-                    return Val::M(a.matmult(&b).expect("shapes conform"));
-                }
-                other => panic!("unsupported operator {other:?}"),
-            };
-            match (l, r) {
-                (Val::M(a), Val::M(b)) => Val::M(a.binary(bop, &b).expect("shapes conform")),
-                (Val::M(a), Val::S(s)) => Val::M(a.binary_scalar(bop, s)),
-                (Val::S(s), Val::M(b)) => Val::M(b.scalar_binary(bop, s)),
-                (Val::S(a), Val::S(b)) => Val::S(bop.apply(a, b)),
-            }
-        }
-        Expr::Call {
-            name, args, named, ..
-        } => match name.as_str() {
-            "sum" => {
-                let Val::M(m) = eval(&args[0], env) else {
-                    panic!("sum of scalar")
-                };
-                Val::S(m.aggregate(AggOp::Sum).as_scalar().unwrap())
-            }
-            "rowSums" => {
-                let Val::M(m) = eval(&args[0], env) else {
-                    panic!()
-                };
-                Val::M(m.aggregate(AggOp::RowSums))
-            }
-            "colSums" => {
-                let Val::M(m) = eval(&args[0], env) else {
-                    panic!()
-                };
-                Val::M(m.aggregate(AggOp::ColSums))
-            }
-            "t" => {
-                let Val::M(m) = eval(&args[0], env) else {
-                    panic!()
-                };
-                Val::M(m.transpose())
-            }
-            "abs" | "round" | "sign" => {
-                let u = match name.as_str() {
-                    "abs" => UnaryOp::Abs,
-                    "round" => UnaryOp::Round,
-                    _ => UnaryOp::Sign,
-                };
-                match eval(&args[0], env) {
-                    Val::M(m) => Val::M(m.unary(u)),
-                    Val::S(s) => Val::S(u.apply(s)),
-                }
-            }
-            "ppred" => {
-                let Val::M(m) = eval(&args[0], env) else {
-                    panic!()
-                };
-                let Val::S(s) = eval(&args[1], env) else {
-                    panic!()
-                };
-                Val::M(m.binary_scalar(BinaryOp::Greater, s))
-            }
-            "append" | "cbind" => {
-                let (Val::M(a), Val::M(b)) = (eval(&args[0], env), eval(&args[1], env)) else {
-                    panic!()
-                };
-                Val::M(a.cbind(&b).unwrap())
-            }
-            "rbind" => {
-                let (Val::M(a), Val::M(b)) = (eval(&args[0], env), eval(&args[1], env)) else {
-                    panic!()
-                };
-                Val::M(a.rbind(&b).unwrap())
-            }
-            "matrix" => {
-                let Val::S(v) = eval(&args[0], env) else {
-                    panic!()
-                };
-                let get = |key: &str| -> usize {
-                    let e = &named.iter().find(|(n, _)| n == key).unwrap().1;
-                    let Val::S(s) = eval(e, env) else { panic!() };
-                    s as usize
-                };
-                Val::M(Matrix::constant(get("rows"), get("cols"), v))
-            }
-            other => panic!("unsupported call {other}"),
-        },
-        other => panic!("unsupported expr {other:?}"),
-    }
-}
-
-/// Interpret the generated straight-line program; returns the `out`
-/// matrix.
+/// Interpret the generated program with the AST reference; returns the
+/// written `model` matrix.
 fn interpret(source: &str, x: &Matrix, y: &Matrix) -> Matrix {
-    let program = reml::lang::parse(source).expect("parses");
-    let mut env: HashMap<String, Val> = HashMap::new();
-    for stmt in &program.statements {
-        match stmt {
-            Statement::Assign { target, expr, .. } => {
-                let value = match expr {
-                    Expr::Call { name, .. } if name == "read" => {
-                        if target == "X" {
-                            Val::M(x.clone())
-                        } else {
-                            Val::M(y.clone())
-                        }
-                    }
-                    other => eval(other, &env),
-                };
-                env.insert(target.clone(), value);
-            }
-            Statement::ExprStmt { .. } => {} // write() — handled below
-            other => panic!("unexpected statement {other:?}"),
-        }
-    }
-    match env.get("out").expect("out defined") {
-        Val::M(m) => m.clone(),
-        Val::S(_) => panic!("out must be a matrix"),
-    }
+    let run = reference::interpret(
+        source,
+        &[("X", "X"), ("Y", "y"), ("model", "model")],
+        &[("X", x), ("y", y)],
+    );
+    run.written["model"].clone()
 }
 
 /// Compile + execute the same program through the full chain.
@@ -389,11 +257,21 @@ fn compile_and_run(source: &str, x: &Matrix, y: &Matrix) -> Matrix {
     cfg.inputs.insert("X".into(), x.characteristics());
     cfg.inputs.insert("y".into(), y.characteristics());
     let compiled = compile_source(source, &cfg).expect("compiles");
+    run_vm(&compiled.runtime, x, y)
+}
+
+/// Execute a compiled program on the VM with `X`/`y` staged; returns the
+/// written `model`.
+fn run_vm(program: &reml::runtime::RuntimeProgram, x: &Matrix, y: &Matrix) -> Matrix {
     let mut hdfs = HdfsStore::new();
     hdfs.stage("X", x.clone());
     hdfs.stage("y", y.clone());
-    let mut exec = Executor::new(1 << 30, hdfs);
-    exec.run(&compiled.runtime, &mut NoRecompile).expect("runs");
+    let mut exec = VmExecutor::new(1 << 30, hdfs);
+    exec.run(
+        &program.lower_vm(VmLowerOptions::default()),
+        &mut NoRecompile,
+    )
+    .expect("runs");
     exec.hdfs.peek("model").expect("model written").clone()
 }
 
@@ -417,14 +295,8 @@ fn run_differential(seed: u64) {
 
     let reference = interpret(&source, &x, &y);
     let compiled = compile_and_run(&source, &x, &y);
-    assert_eq!(compiled.rows(), reference.rows(), "program:\n{source}");
-    for r in 0..reference.rows() {
-        let (a, b) = (reference.get(r, 0), compiled.get(r, 0));
-        let tol = 1e-6 * a.abs().max(1.0);
-        assert!(
-            (a - b).abs() <= tol,
-            "row {r}: reference {a} vs compiled {b}\nprogram:\n{source}"
-        );
+    if let Err(e) = reference::matrices_close(&reference, &compiled) {
+        panic!("{e}\nprogram:\n{source}");
     }
 }
 
@@ -438,7 +310,7 @@ fn differential_random_programs_agree() {
 #[test]
 fn differential_small_mr_budget_plans_agree() {
     // Same differential but compiled with a tiny CP heap so some
-    // operators go through the MR path of the executor.
+    // operators go through the MR path of the VM.
     let shape = Shape { rows: 12, cols: 5 };
     let mut mr_seeds = 0usize;
     for seed in 100..110 {
@@ -459,7 +331,7 @@ fn differential_small_mr_budget_plans_agree() {
         let source = generator.finish();
         let reference = interpret(&source, &x, &y);
 
-        // Tiny budget: force MR-style plans (the executor runs MR jobs
+        // Tiny budget: force MR-style plans (the VM runs MR jobs
         // value-equivalently in process).
         let mut cfg = CompileConfig::new(ClusterConfig::paper_cluster(), 512, 512);
         // Shrink the budget far below even these small matrices by
@@ -490,19 +362,9 @@ fn differential_small_mr_budget_plans_agree() {
         // MR jobs; which seeds those are depends on the RNG stream, so
         // the MR requirement is asserted over the whole seed set below.
         mr_seeds += (compiled.mr_jobs() > 0) as usize;
-        let mut hdfs = HdfsStore::new();
-        hdfs.stage("X", x.clone());
-        hdfs.stage("y", y.clone());
-        let mut exec = Executor::new(1 << 30, hdfs);
-        exec.run(&compiled.runtime, &mut NoRecompile).expect("runs");
-        let out = exec.hdfs.peek("model").expect("model written").clone();
-        for r in 0..reference.rows() {
-            let (a, b) = (reference.get(r, 0), out.get(r, 0));
-            let tol = 1e-6 * a.abs().max(1.0);
-            assert!(
-                (a - b).abs() <= tol,
-                "row {r}: reference {a} vs compiled {b}\nprogram:\n{source}"
-            );
+        let out = run_vm(&compiled.runtime, &x, &y);
+        if let Err(e) = reference::matrices_close(&reference, &out) {
+            panic!("{e}\nprogram:\n{source}");
         }
     }
     assert!(

@@ -1,18 +1,20 @@
 //! Integration: all five ML programs compile and *execute for real* on
-//! small generated data through the CP executor, producing correct
-//! models where ground truth exists.
+//! small generated data on the bytecode VM, producing correct models
+//! where ground truth exists.
+
+use std::time::{Duration, Instant};
 
 use reml::prelude::*;
-use reml::runtime::executor::NoRecompile;
-use reml::runtime::{Executor, HdfsStore};
+use reml::runtime::executor::{ExecError, NoRecompile};
+use reml::runtime::{HdfsStore, VmExecutor, VmLowerOptions};
 use reml::scripts::data::{generate_dataset, Dataset, LabelKind};
 use reml::scripts::ScriptSpec;
 
-fn run_script(script: &ScriptSpec, data: &Dataset) -> Executor {
+fn run_script(script: &ScriptSpec, data: &Dataset) -> VmExecutor {
     run_script_with(script, data, &[])
 }
 
-fn run_script_with(script: &ScriptSpec, data: &Dataset, overrides: &[(&str, f64)]) -> Executor {
+fn run_script_with(script: &ScriptSpec, data: &Dataset, overrides: &[(&str, f64)]) -> VmExecutor {
     let mut cfg = CompileConfig::new(ClusterConfig::paper_cluster(), 4 * 1024, 1024);
     for (name, value) in &script.params {
         cfg.params.insert((*name).to_string(), value.clone());
@@ -29,9 +31,12 @@ fn run_script_with(script: &ScriptSpec, data: &Dataset, overrides: &[(&str, f64)
     let mut hdfs = HdfsStore::new();
     hdfs.stage("X", data.x.clone());
     hdfs.stage("y", data.y.clone());
-    let mut exec = Executor::new(4 << 30, hdfs);
-    exec.run(&compiled.runtime, &mut NoRecompile)
-        .unwrap_or_else(|e| panic!("{} execute: {e}", script.name));
+    let mut exec = VmExecutor::new(4 << 30, hdfs);
+    exec.run(
+        &compiled.runtime.lower_vm(VmLowerOptions::default()),
+        &mut NoRecompile,
+    )
+    .unwrap_or_else(|e| panic!("{} execute: {e}", script.name));
     exec
 }
 
@@ -156,12 +161,44 @@ fn executor_buffer_pool_eviction_still_correct() {
     hdfs.stage("X", data.x.clone());
     hdfs.stage("y", data.y.clone());
     // 100 KB pool vs ~64 KB X: evictions guaranteed.
-    let mut exec = Executor::new(100 * 1024, hdfs);
-    exec.run(&compiled.runtime, &mut NoRecompile).unwrap();
+    let mut exec = VmExecutor::new(100 * 1024, hdfs);
+    exec.run(
+        &compiled.runtime.lower_vm(VmLowerOptions::default()),
+        &mut NoRecompile,
+    )
+    .unwrap();
     assert!(exec.pool.stats().evictions > 0);
     let truth = data.truth.as_ref().unwrap();
     let model = exec.hdfs.peek("model").unwrap();
     for j in 0..10 {
         assert!((model.get(j, 0) - truth.get(j, 0)).abs() < 0.05);
+    }
+}
+
+#[test]
+fn runaway_for_loops_end_in_a_typed_error() {
+    // A counter that stalls (1e17 + 1 == 1e17) and a range too long to
+    // run both hit the loop bound instead of spinning.
+    for source in [
+        "x = 0\nfor (i in 1e17:100000000000000003) { x = x + 1 }\nprint(x)",
+        "x = 0\nfor (i in 1:1e12) { x = x + 1 }\nprint(x)",
+    ] {
+        let cfg = CompileConfig::new(ClusterConfig::paper_cluster(), 4 * 1024, 1024);
+        let compiled = compile_source(source, &cfg).expect("compiles");
+        let mut exec = VmExecutor::new(4 << 30, HdfsStore::new());
+        let started = Instant::now();
+        let result = exec.run(
+            &compiled.runtime.lower_vm(VmLowerOptions::default()),
+            &mut NoRecompile,
+        );
+        assert!(
+            matches!(result, Err(ExecError::RunawayLoop(_))),
+            "{source}: {result:?}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{source}: took {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -1,4 +1,5 @@
-//! §4.1 AM runtime migration on the *real* executor: split a program at a
+//! §4.1 AM runtime migration on the *real* executor (the bytecode VM):
+//! split a program at a
 //! block boundary, migrate the state to a differently-sized container,
 //! resume, and verify the results are identical to an unmigrated run —
 //! the safety argument the paper makes ("migration at program block
@@ -7,8 +8,17 @@
 
 use reml::prelude::*;
 use reml::runtime::executor::NoRecompile;
-use reml::runtime::{Executor, HdfsStore, RuntimeProgram};
+use reml::runtime::{HdfsStore, RtBlock, RuntimeProgram, VmExecutor, VmLowerOptions, VmProgram};
 use reml::scripts::data::{generate_dataset, LabelKind};
+
+/// Lower a run of top-level blocks as a program of its own.
+fn lower(blocks: &[RtBlock]) -> VmProgram {
+    RuntimeProgram {
+        blocks: blocks.to_vec(),
+        ..Default::default()
+    }
+    .lower_vm(VmLowerOptions::default())
+}
 
 fn compiled_l2svm(
     data: &reml::scripts::Dataset,
@@ -33,9 +43,9 @@ fn migration_at_block_boundary_preserves_results() {
     let (compiled, hdfs) = compiled_l2svm(&data);
 
     // Reference: run the whole program in one container.
-    let mut reference = Executor::new(64 << 20, hdfs.clone());
+    let mut reference = VmExecutor::new(64 << 20, hdfs.clone());
     reference
-        .run(&compiled.runtime, &mut NoRecompile)
+        .run(&lower(&compiled.runtime.blocks), &mut NoRecompile)
         .expect("reference runs");
     let ref_model = reference.hdfs.peek("model").unwrap().clone();
 
@@ -45,17 +55,11 @@ fn migration_at_block_boundary_preserves_results() {
         .runtime
         .blocks
         .iter()
-        .position(|b| matches!(b, reml::runtime::RtBlock::While { .. }))
+        .position(|b| matches!(b, RtBlock::While { .. }))
         .expect("has a loop");
-    let prefix = RuntimeProgram {
-        blocks: compiled.runtime.blocks[..split].to_vec(),
-        ..Default::default()
-    };
-    let suffix = RuntimeProgram {
-        blocks: compiled.runtime.blocks[split..].to_vec(),
-        ..Default::default()
-    };
-    let mut exec = Executor::new(64 << 20, hdfs);
+    let prefix = lower(&compiled.runtime.blocks[..split]);
+    let suffix = lower(&compiled.runtime.blocks[split..]);
+    let mut exec = VmExecutor::new(64 << 20, hdfs);
     exec.run(&prefix, &mut NoRecompile).expect("prefix runs");
     let report = exec.migrate(512 << 20);
     assert!(report.variables > 0);
@@ -93,16 +97,10 @@ fn migration_to_smaller_container_still_correct() {
     hdfs.stage("X", data.x.clone());
     hdfs.stage("y", data.y.clone());
 
-    let mut exec = Executor::new(64 << 20, hdfs);
+    let mut exec = VmExecutor::new(64 << 20, hdfs);
     // Run the first block, then migrate to a tiny pool.
-    let first = RuntimeProgram {
-        blocks: compiled.runtime.blocks[..1].to_vec(),
-        ..Default::default()
-    };
-    let rest = RuntimeProgram {
-        blocks: compiled.runtime.blocks[1..].to_vec(),
-        ..Default::default()
-    };
+    let first = lower(&compiled.runtime.blocks[..1]);
+    let rest = lower(&compiled.runtime.blocks[1..]);
     exec.run(&first, &mut NoRecompile).unwrap();
     exec.migrate(100 * 1024);
     exec.run(&rest, &mut NoRecompile).unwrap();
@@ -115,16 +113,21 @@ fn migration_to_smaller_container_still_correct() {
 
 #[test]
 fn migration_report_accounts_dirty_bytes() {
-    let mut exec = Executor::new(1 << 20, HdfsStore::new());
+    let mut exec = VmExecutor::new(1 << 20, HdfsStore::new());
+    let clean = exec.pool.resolve_slot("clean");
     exec.pool
-        .put_with_dirty("clean", reml::matrix::Matrix::constant(10, 10, 1.0), false);
+        .put_slot_with_dirty(clean, reml::matrix::Matrix::constant(10, 10, 1.0), false);
+    let dirty = exec.pool.resolve_slot("dirty");
     exec.pool
-        .put("dirty", reml::matrix::Matrix::constant(20, 10, 2.0));
+        .put_slot(dirty, reml::matrix::Matrix::constant(20, 10, 2.0));
     let report = exec.migrate(2 << 20);
     assert_eq!(report.variables, 2);
     assert_eq!(report.dirty_exported, 1);
     assert_eq!(report.dirty_bytes, 20 * 10 * 8);
-    // Both variables survive the migration.
-    assert!(exec.pool.contains("clean"));
-    assert!(exec.pool.contains("dirty"));
+    assert!(exec.hdfs.exists("am_state/dirty"));
+    // Both variables survive the migration in their slots, now clean.
+    for slot in [clean, dirty] {
+        assert!(exec.pool.peek_slot(slot).is_some());
+        assert_eq!(exec.pool.is_dirty_slot(slot), Some(false));
+    }
 }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use reml::compiler::MrHeapAssignment;
 use reml::prelude::*;
 use reml::runtime::executor::NoRecompile;
-use reml::runtime::{Executor, HdfsStore};
+use reml::runtime::{HdfsStore, VmExecutor, VmLowerOptions};
 
 use dml_gen::generate_program;
 
@@ -40,9 +40,11 @@ proptest! {
         reml::sizebound::annotate(&analyzed, &mut compiled, &cfg)
             .unwrap_or_else(|e| panic!("analysis must succeed: {e}\n{source}"));
 
-        let mut exec = Executor::new(4 << 30, HdfsStore::new());
+        // Unfused, so every CP instruction records its own observation.
+        let program = compiled.runtime.lower_vm(VmLowerOptions { fuse: false });
+        let mut exec = VmExecutor::new(4 << 30, HdfsStore::new());
         exec.enable_memory_observation();
-        exec.run(&compiled.runtime, &mut NoRecompile)
+        exec.run(&program, &mut NoRecompile)
             .unwrap_or_else(|e| panic!("generated program must execute: {e}\n{source}"));
 
         let observations = exec.take_memory_observations();

@@ -1,12 +1,21 @@
 //! Property test for the bytecode VM and its fusion pass: on any valid
-//! generated DML program, compiled at any resource point, the fused VM,
-//! the unfused VM, and the tree interpreter must be bit-identical on
-//! every observable (printed lines, scalars, live matrices incl. their
-//! dense/sparse representation, and execution statistics) — and every
-//! lowered program must pass the PL040 bytecode verifier.
+//! generated DML program, compiled at any resource point,
+//!
+//! * the unfused VM must agree with the AST reference interpreter
+//!   (`common/reference.rs`, no compiler layer involved): printed lines
+//!   equal in text with numbers within a 1e-6 relative tolerance, and
+//!   every matrix the VM holds at exit within that tolerance of the
+//!   reference's same-named value;
+//! * the fused VM must be bit-identical to the unfused VM on every
+//!   observable (printed lines, scalars, live matrices incl. their
+//!   dense/sparse representation, and execution statistics);
+//! * every lowered program must pass the PL040–PL047 bytecode lint.
 
 #[path = "common/dml_gen.rs"]
 mod dml_gen;
+#[path = "common/reference.rs"]
+#[allow(dead_code)]
+mod reference;
 
 use std::collections::BTreeMap;
 
@@ -15,7 +24,7 @@ use reml::prelude::*;
 use reml::runtime::executor::NoRecompile;
 use reml::runtime::instructions::TEMP_PREFIX;
 use reml::runtime::vm::VmLowerOptions;
-use reml::runtime::{Executor, HdfsStore, VmExecutor};
+use reml::runtime::{HdfsStore, VmExecutor};
 
 use dml_gen::generate_program;
 
@@ -48,44 +57,7 @@ fn scalar_key(v: &reml::runtime::ScalarValue) -> String {
     }
 }
 
-fn fingerprint(
-    printed: &[String],
-    scalars: BTreeMap<String, String>,
-    matrices: BTreeMap<String, (bool, usize, usize, u64, Vec<u64>)>,
-    stats: &reml::runtime::ExecStats,
-) -> Fingerprint {
-    Fingerprint {
-        printed: printed.to_vec(),
-        scalars,
-        matrices,
-        cp_instructions: stats.cp_instructions,
-        loop_iterations: stats.loop_iterations,
-    }
-}
-
-fn run_tree(program: &reml::runtime::RuntimeProgram) -> Fingerprint {
-    let mut exec = Executor::new(4 << 30, HdfsStore::new());
-    exec.run(program, &mut NoRecompile).expect("tree execute");
-    let scalars = exec
-        .scalars
-        .iter()
-        .filter(|(n, _)| !n.starts_with(TEMP_PREFIX))
-        .map(|(n, v)| (n.clone(), scalar_key(v)))
-        .collect();
-    let matrices = exec
-        .pool
-        .variables()
-        .into_iter()
-        .filter(|n| !n.starts_with(TEMP_PREFIX))
-        .map(|n| {
-            let bits = matrix_bits(exec.pool.peek(&n).unwrap());
-            (n, bits)
-        })
-        .collect();
-    fingerprint(&exec.stats.printed, scalars, matrices, &exec.stats)
-}
-
-fn run_vm(program: &reml::runtime::RuntimeProgram, fuse: bool) -> Fingerprint {
+fn run_vm(program: &reml::runtime::RuntimeProgram, fuse: bool) -> VmExecutor {
     let lowered = program.lower_vm(VmLowerOptions { fuse });
     let lint = reml::planlint::lint_vm(program, &lowered);
     assert!(
@@ -95,29 +67,46 @@ fn run_vm(program: &reml::runtime::RuntimeProgram, fuse: bool) -> Fingerprint {
     );
     let mut exec = VmExecutor::new(4 << 30, HdfsStore::new());
     exec.run(&lowered, &mut NoRecompile).expect("vm execute");
+    exec
+}
+
+/// Live matrices at exit, excluding compiler temporaries.
+fn live_matrices(exec: &VmExecutor) -> Vec<(String, Matrix)> {
+    exec.pool
+        .variables()
+        .into_iter()
+        .filter(|n| !n.starts_with(TEMP_PREFIX))
+        .map(|n| {
+            let m = exec.pool.peek(&n).unwrap().clone();
+            (n, m)
+        })
+        .collect()
+}
+
+fn vm_fingerprint(exec: &VmExecutor) -> Fingerprint {
     let scalars = exec
         .scalars()
         .into_iter()
         .filter(|(n, _)| !n.starts_with(TEMP_PREFIX))
         .map(|(n, v)| (n, scalar_key(&v)))
         .collect();
-    let matrices = exec
-        .pool
-        .variables()
+    let matrices = live_matrices(exec)
         .into_iter()
-        .filter(|n| !n.starts_with(TEMP_PREFIX))
-        .map(|n| {
-            let bits = matrix_bits(exec.pool.peek(&n).unwrap());
-            (n, bits)
-        })
+        .map(|(n, m)| (n, matrix_bits(&m)))
         .collect();
-    fingerprint(&exec.stats.printed, scalars, matrices, &exec.stats)
+    Fingerprint {
+        printed: exec.stats.printed.clone(),
+        scalars,
+        matrices,
+        cp_instructions: exec.stats.cp_instructions,
+        loop_iterations: exec.stats.loop_iterations,
+    }
 }
 
 // Runs the vendored-runner default of 64 cases (`PROPTEST_CASES` overrides).
 proptest! {
     #[test]
-    fn fused_and_unfused_vm_match_tree(
+    fn fused_and_unfused_vm_match_reference(
         ops in prop::collection::vec((0u8..255, 0u8..255, 0u8..255), 1usize..10),
         ctrl in 0u8..255,
         cp_heap in 512u64..54_613,
@@ -132,17 +121,18 @@ proptest! {
         let compiled = compile_source(&source, &cfg)
             .unwrap_or_else(|e| panic!("generated program must compile: {e}\n{source}"));
 
-        let tree = run_tree(&compiled.runtime);
         let unfused = run_vm(&compiled.runtime, false);
-        prop_assert_eq!(
-            &tree, &unfused,
-            "unfused VM diverges (cp={} mr={})\n--- source ---\n{}",
-            cp_heap, mr_heap, source
+        let reference = reference::interpret(&source, &[], &[]);
+        let verdict = reference.check(&unfused.stats.printed, &live_matrices(&unfused));
+        prop_assert!(
+            verdict.is_ok(),
+            "unfused VM diverges from the reference (cp={} mr={}): {}\n--- source ---\n{}",
+            cp_heap, mr_heap, verdict.unwrap_err(), source
         );
         let fused = run_vm(&compiled.runtime, true);
         prop_assert_eq!(
-            &tree, &fused,
-            "fused VM diverges (cp={} mr={})\n--- source ---\n{}",
+            &vm_fingerprint(&unfused), &vm_fingerprint(&fused),
+            "fused VM diverges from the unfused VM (cp={} mr={})\n--- source ---\n{}",
             cp_heap, mr_heap, source
         );
     }
