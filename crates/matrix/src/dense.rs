@@ -9,13 +9,11 @@ use crate::MatrixCharacteristics;
 /// Elementwise map producing `out[i] = f(i)`; chunk-parallel above the
 /// cell threshold (each cell depends only on its own index, so the
 /// parallel split is trivially bit-identical to the sequential map).
+/// Every cell is an independent chunk, so below the threshold the thread
+/// count is never consulted.
 fn elementwise_map(len: usize, f: impl Fn(usize) -> f64 + Sync) -> Vec<f64> {
     let mut out = vec![0.0; len];
-    if crate::par_worthwhile(
-        len,
-        crate::PAR_CELLS_THRESHOLD,
-        rayon::current_num_threads(),
-    ) {
+    if crate::par_worthwhile(len, crate::PAR_CELLS_THRESHOLD, len) {
         let chunk = len.div_ceil(rayon::current_num_threads());
         out.par_chunks_mut(chunk).enumerate().for_each(|(ci, c)| {
             let base = ci * chunk;
@@ -158,6 +156,18 @@ impl DenseMatrix {
         // paths: identical zero-skip and k-ascending accumulation order,
         // so both produce bit-identical results.
         let row_kernel = |a_row: &[f64], out_row: &mut [f64]| {
+            if n == 1 {
+                // Matrix-vector: accumulate in a register rather than a
+                // one-element slice per `k`; same order, same zero skip.
+                let mut acc = 0.0;
+                for (&a, &b) in a_row.iter().zip(&other.data) {
+                    if a != 0.0 {
+                        acc += a * b;
+                    }
+                }
+                out_row[0] = acc;
+                return;
+            }
             for (kk, &a) in a_row.iter().enumerate() {
                 if a == 0.0 {
                     continue;
@@ -176,6 +186,56 @@ impl DenseMatrix {
             for i in 0..m {
                 let a_row = &self.data[i * k..(i + 1) * k];
                 row_kernel(a_row, &mut out[i * n..(i + 1) * n]);
+            }
+        }
+        Ok(DenseMatrix {
+            rows: m,
+            cols: n,
+            data: out,
+        })
+    }
+
+    /// Transpose-left matrix multiply `t(self) %*% other` without
+    /// materializing `t(self)` (SystemML's transpose-fused MapMM and the
+    /// second product of MapMMChain). Streams the rows of `self` and
+    /// axpys each cell into its output row, so every output cell
+    /// accumulates over ascending rows of `self` with the `a == 0` skip of
+    /// [`DenseMatrix::matmult`]: bit-identical to
+    /// `self.transpose().matmult(other)`, including its error. Above the
+    /// parallel threshold the transposed copy is amortized and that
+    /// row-partitioned kernel runs instead.
+    pub fn tmatmult(&self, other: &DenseMatrix) -> Result<DenseMatrix, MatrixError> {
+        if self.rows != other.rows {
+            return Err(MatrixError::ShapeMismatch {
+                op: "matmult",
+                left: (self.cols, self.rows),
+                right: (other.rows, other.cols),
+            });
+        }
+        let (m, k, n) = (self.cols, self.rows, other.cols);
+        if m * k * n >= crate::PAR_FLOPS_THRESHOLD {
+            return self.transpose().matmult(other);
+        }
+        let mut out = vec![0.0; m * n];
+        for kk in 0..k {
+            let x_row = self.row(kk);
+            let b_row = &other.data[kk * n..(kk + 1) * n];
+            if n == 1 {
+                let b = b_row[0];
+                for (o, &a) in out.iter_mut().zip(x_row) {
+                    if a != 0.0 {
+                        *o += a * b;
+                    }
+                }
+                continue;
+            }
+            for (i, &a) in x_row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in out[i * n..(i + 1) * n].iter_mut().zip(b_row) {
+                    *o += a * b;
+                }
             }
         }
         Ok(DenseMatrix {
@@ -664,6 +724,122 @@ mod tests {
         assert_eq!(d.get(0, 1), 0.0);
         let back = d.diag();
         assert_eq!(back.data(), &[1.0, 2.0]);
+    }
+
+    /// Deterministic cells drawn from a palette of signed zeros, NaN,
+    /// infinities and finite values, so every oracle sees `0 * inf`,
+    /// NaN propagation and `-0.0` sums.
+    fn special_matrix(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+        const PALETTE: [f64; 10] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.25,
+            0.1,
+            0.0,
+            3.0e-300,
+        ];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let data = (0..rows * cols)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                PALETTE[(state % PALETTE.len() as u64) as usize]
+            })
+            .collect();
+        DenseMatrix::from_vec(rows, cols, data).unwrap()
+    }
+
+    /// Cell bits with every NaN mapped to one canonical pattern: Rust
+    /// leaves the sign and payload of an arithmetic NaN unspecified (LLVM
+    /// may commute an `fadd`'s operands), so only NaN-ness is comparable.
+    /// Signed zeros and infinities still compare by their bits.
+    fn bits(d: &DenseMatrix) -> (usize, usize, Vec<u64>) {
+        let cell = |v: f64| {
+            if v.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        };
+        (
+            d.rows(),
+            d.cols(),
+            d.data().iter().map(|&v| cell(v)).collect(),
+        )
+    }
+
+    #[test]
+    fn tmatmult_is_bit_identical_to_explicit_transpose() {
+        let t = crate::PAR_FLOPS_THRESHOLD;
+        // (rows of X, cols of X, cols of B); the last four straddle the
+        // parallel threshold (flops = cols(X) * rows(X) * cols(B)).
+        let shapes = [
+            (0, 3, 2),
+            (3, 0, 2),
+            (3, 2, 0),
+            (0, 0, 0),
+            (1, 1, 1),
+            (7, 5, 1),
+            (7, 5, 3),
+            (33, 17, 4),
+            (2048, 64, 16),
+            (2048, 64, 15),
+            (t / 512, 512, 1),
+            (t / 512 - 1, 512, 1),
+        ];
+        for (seed, &(r, c, n)) in shapes.iter().enumerate() {
+            let x = special_matrix(r, c, seed as u64);
+            let b = special_matrix(r, n, seed as u64 + 100);
+            let expected = x.transpose().matmult(&b).unwrap();
+            assert_eq!(
+                bits(&x.tmatmult(&b).unwrap()),
+                bits(&expected),
+                "{r}x{c} by {n}"
+            );
+        }
+        let err = DenseMatrix::zeros(3, 2).tmatmult(&DenseMatrix::zeros(2, 2));
+        let expected = DenseMatrix::zeros(2, 3).matmult(&DenseMatrix::zeros(2, 2));
+        assert_eq!(err, expected);
+    }
+
+    #[test]
+    fn zero_times_inf_is_skipped() {
+        let x = DenseMatrix::from_rows(&[&[0.0, -0.0], &[2.0, 0.0]]).unwrap();
+        let v = DenseMatrix::from_rows(&[&[f64::INFINITY], &[3.0]]).unwrap();
+        // Column 0: 0 * inf skipped, then 2 * 3; column 1: both skipped.
+        assert_eq!(x.tmatmult(&v).unwrap().data(), &[6.0, 0.0]);
+        let a = DenseMatrix::from_rows(&[&[0.0, 2.0]]).unwrap();
+        assert_eq!(a.matmult(&v).unwrap().data(), &[6.0]);
+    }
+
+    #[test]
+    fn matvec_path_matches_general_kernel() {
+        let t = crate::PAR_FLOPS_THRESHOLD;
+        // (rows of A, cols of A); the last two straddle the parallel
+        // threshold for the unpadded product (flops = rows * cols).
+        let shapes = [
+            (0, 3),
+            (3, 0),
+            (1, 1),
+            (9, 6),
+            (40, 33),
+            (t / 1024, 1024),
+            (t / 1024 - 1, 1024),
+        ];
+        for (seed, &(m, k)) in shapes.iter().enumerate() {
+            let a = special_matrix(m, k, seed as u64 + 200);
+            let v = special_matrix(k, 1, seed as u64 + 300);
+            let padded = v.cbind(&special_matrix(k, 1, seed as u64 + 400)).unwrap();
+            let general = a.matmult(&padded).unwrap();
+            let column0 = (0..m).map(|i| general.get(i, 0)).collect();
+            let column0 = DenseMatrix::from_vec(m, 1, column0).unwrap();
+            assert_eq!(bits(&a.matmult(&v).unwrap()), bits(&column0), "{m}x{k}");
+        }
     }
 
     #[test]

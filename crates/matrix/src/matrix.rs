@@ -1,11 +1,13 @@
 //! The runtime matrix value: dense or sparse with automatic format
 //! selection, plus scalar interop.
 
+use std::borrow::Cow;
+
 use crate::dense::DenseMatrix;
 use crate::error::MatrixError;
 use crate::ops::{AggOp, BinaryOp, UnaryOp};
 use crate::sparse::SparseMatrix;
-use crate::{MatrixCharacteristics, SPARSE_FORMAT_THRESHOLD};
+use crate::{MatrixCharacteristics, DENSE_CELL_BYTES, SPARSE_FORMAT_THRESHOLD};
 
 /// A matrix value with physical-format independence: callers operate on
 /// [`Matrix`] and the implementation picks dense or CSR per block, just as
@@ -105,12 +107,14 @@ impl Matrix {
     }
 
     /// Actual in-memory footprint in bytes under the crate's accounting
-    /// constants.
+    /// constants. O(1): a dense block's size depends on its shape only, so
+    /// its cells are not scanned for nnz.
     pub fn size_bytes(&self) -> u64 {
-        let mc = self.characteristics();
         match self {
-            Matrix::Dense(_) => mc.dense_size_bytes().unwrap_or(0),
-            Matrix::Sparse(_) => mc.sparse_size_bytes().unwrap_or(0),
+            Matrix::Dense(d) => (d.rows() as u64)
+                .saturating_mul(d.cols() as u64)
+                .saturating_mul(DENSE_CELL_BYTES),
+            Matrix::Sparse(s) => s.characteristics().sparse_size_bytes().unwrap_or(0),
         }
     }
 
@@ -124,9 +128,15 @@ impl Matrix {
 
     /// Materialize as dense (copy if sparse).
     pub fn to_dense(&self) -> DenseMatrix {
+        self.dense_view().into_owned()
+    }
+
+    /// Borrow a dense block as is; densify a sparse one. Kernels that
+    /// only read their operands use this instead of [`Matrix::to_dense`].
+    fn dense_view(&self) -> Cow<'_, DenseMatrix> {
         match self {
-            Matrix::Dense(d) => d.clone(),
-            Matrix::Sparse(s) => s.to_dense(),
+            Matrix::Dense(d) => Cow::Borrowed(d),
+            Matrix::Sparse(s) => Cow::Owned(s.to_dense()),
         }
     }
 
@@ -157,6 +167,17 @@ impl Matrix {
         Ok(Matrix::from_dense_auto(out))
     }
 
+    /// `t(self) %*% other` without materializing `t(self)` when both
+    /// operands are dense ([`DenseMatrix::tmatmult`]); sparse operands
+    /// take the explicit transpose. Bit-identical to
+    /// `self.transpose().matmult(other)` in every format combination.
+    pub fn tmatmult(&self, other: &Matrix) -> Result<Matrix, MatrixError> {
+        match (self, other) {
+            (Matrix::Dense(a), Matrix::Dense(b)) => Ok(Matrix::from_dense_auto(a.tmatmult(b)?)),
+            _ => self.transpose().matmult(other),
+        }
+    }
+
     /// `t(self) %*% self` (TSMM).
     pub fn tsmm(&self) -> Matrix {
         match self {
@@ -184,7 +205,7 @@ impl Matrix {
                 return Ok(Matrix::from_sparse_auto(a.mul_sparse(b)?));
             }
         }
-        let out = self.to_dense().binary(op, &other.to_dense())?;
+        let out = self.dense_view().binary(op, &other.dense_view())?;
         Ok(Matrix::from_dense_auto(out))
     }
 
@@ -201,7 +222,7 @@ impl Matrix {
 
     /// Elementwise binary with a scalar on the left.
     pub fn scalar_binary(&self, op: BinaryOp, scalar: f64) -> Matrix {
-        Matrix::from_dense_auto(self.to_dense().scalar_binary(op, scalar))
+        Matrix::from_dense_auto(self.dense_view().scalar_binary(op, scalar))
     }
 
     /// Elementwise unary.
@@ -241,7 +262,7 @@ impl Matrix {
         self.debug_check_sparse()?;
         other.debug_check_sparse()?;
         Ok(Matrix::from_dense_auto(
-            self.to_dense().cbind(&other.to_dense())?,
+            self.dense_view().cbind(&other.dense_view())?,
         ))
     }
 
@@ -250,27 +271,27 @@ impl Matrix {
         self.debug_check_sparse()?;
         other.debug_check_sparse()?;
         Ok(Matrix::from_dense_auto(
-            self.to_dense().rbind(&other.to_dense())?,
+            self.dense_view().rbind(&other.dense_view())?,
         ))
     }
 
     /// Right indexing with inclusive 0-based bounds.
     pub fn slice(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Result<Matrix, MatrixError> {
         Ok(Matrix::from_dense_auto(
-            self.to_dense().slice(r0, r1, c0, c1)?,
+            self.dense_view().slice(r0, r1, c0, c1)?,
         ))
     }
 
     /// `diag` (extract or expand).
     pub fn diag(&self) -> Matrix {
-        Matrix::from_dense_auto(self.to_dense().diag())
+        Matrix::from_dense_auto(self.dense_view().diag())
     }
 
     /// `solve(A, b)` — dense LU with partial pivoting.
     pub fn solve(&self, b: &Matrix) -> Result<Matrix, MatrixError> {
         Ok(Matrix::Dense(crate::solve::solve(
-            &self.to_dense(),
-            &b.to_dense(),
+            &self.dense_view(),
+            &b.dense_view(),
         )?))
     }
 }
@@ -404,6 +425,55 @@ mod tests {
         assert_eq!(z.size_bytes(), 400); // 100 rows * 4 bytes row_ptr
         let d = Matrix::constant(100, 100, 1.0);
         assert_eq!(d.size_bytes(), 80_000);
+    }
+
+    #[test]
+    fn size_bytes_matches_characteristics() {
+        let dense = [
+            DenseMatrix::zeros(5, 7),
+            DenseMatrix::zeros(0, 4),
+            DenseMatrix::zeros(4, 0),
+            crate::generate::rand_dense(6, 3, -1.0, 1.0, 7),
+        ];
+        for d in dense {
+            let m = Matrix::Dense(d);
+            assert_eq!(Some(m.size_bytes()), m.characteristics().dense_size_bytes());
+        }
+        let sparse = [
+            SparseMatrix::zeros(5, 7),
+            crate::generate::rand_sparse(20, 10, 0.1, -1.0, 1.0, 8),
+        ];
+        for s in sparse {
+            let m = Matrix::Sparse(s);
+            assert_eq!(
+                Some(m.size_bytes()),
+                m.characteristics().sparse_size_bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn tmatmult_matches_explicit_transpose_in_every_format() {
+        let x = crate::generate::rand_sparse(30, 8, 0.2, -1.0, 1.0, 9);
+        let b = crate::generate::rand_sparse(30, 3, 0.3, -1.0, 1.0, 10);
+        let v = crate::generate::rand_dense(30, 1, -1.0, 1.0, 11);
+        let xs = [Matrix::Sparse(x.clone()), Matrix::Dense(x.to_dense())];
+        let bs = [
+            Matrix::Sparse(b.clone()),
+            Matrix::Dense(b.to_dense()),
+            Matrix::Dense(v),
+        ];
+        let bits =
+            |m: &Matrix| -> Vec<u64> { m.to_dense().data().iter().map(|v| v.to_bits()).collect() };
+        for x in &xs {
+            for b in &bs {
+                let expected = x.transpose().matmult(b).unwrap();
+                let got = x.tmatmult(b).unwrap();
+                assert_eq!(got.is_sparse(), expected.is_sparse());
+                assert_eq!((got.rows(), got.cols()), (expected.rows(), expected.cols()));
+                assert_eq!(bits(&got), bits(&expected));
+            }
+        }
     }
 
     #[test]

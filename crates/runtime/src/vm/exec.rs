@@ -642,7 +642,7 @@ impl VmExecutor {
                 let m = {
                     let a = self.peek_arg(t, args[0])?;
                     let b = self.peek_arg(t, args[1])?;
-                    a.mat().transpose().matmult(b.mat())?
+                    a.mat().tmatmult(b.mat())?
                 };
                 self.put_matrix(out, m)
             }
@@ -653,7 +653,7 @@ impl VmExecutor {
                     let x = self.peek_arg(t, args[0])?;
                     let v = self.peek_arg(t, args[1])?;
                     let xv = x.mat().matmult(v.mat())?;
-                    x.mat().transpose().matmult(&xv)?
+                    x.mat().tmatmult(&xv)?
                 };
                 self.put_matrix(out, m)
             }
